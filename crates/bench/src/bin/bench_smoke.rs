@@ -556,15 +556,15 @@ fn main() {
         groups.push((label, group));
     }
 
-    // Shard sweep: the real threaded engine across shard counts. The
-    // per-shard queue+execute split must shrink as shards increase
-    // (uniform TPC-C work spread over more partitions), and cross-shard
-    // transactions must be observed (and resolved) whenever shards > 1.
+    // Shard sweep: the real threaded engine across shard counts.
+    // Cross-shard transactions must be observed (and resolved) whenever
+    // shards > 1. The whole-batch queue+execute column is printed, not
+    // asserted: whether sharding pays is a wall-clock question, and
+    // `bench_wall`'s `tpcc_exec` `tps` / `tps_b` pair answers it.
     println!("\n== shard sweep ==");
     let sweep_setup = tpcc_setup(4);
     let mut sweep_rows = Vec::new();
     let mut sweep_group = Vec::new();
-    let mut per_shard_mean = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let r = shard_sweep_point(&sweep_setup, shards, 4);
         assert!(r.committed > 0, "shard-sweep/{shards}: committed nothing");
@@ -578,29 +578,29 @@ fn main() {
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         let (q, e) = (mean(&r.shard_queue_us), mean(&r.shard_execute_us));
-        per_shard_mean.push(q + e);
         sweep_rows.push(vec![
             shards.to_string(),
             r.committed.to_string(),
             format!("{:.3}", r.cross_shard_ratio),
             format!("{q:.1}"),
             format!("{e:.1}"),
+            format!("{:.1}", r.queue_us + r.execute_us),
         ]);
         sweep_group.push((format!("shards-{shards}"), r));
     }
     print!(
         "{}",
         render_table(
-            &["Shards", "Committed", "cross ratio", "shard queue µs", "shard execute µs"],
+            &[
+                "Shards",
+                "Committed",
+                "cross ratio",
+                "shard queue µs",
+                "shard execute µs",
+                "batch queue+execute µs",
+            ],
             &sweep_rows
         )
-    );
-    assert!(
-        per_shard_mean[3] < per_shard_mean[0],
-        "per-shard queue+execute must decrease with shard count \
-         (1 shard {:.1}µs vs 8 shards {:.1}µs)",
-        per_shard_mean[0],
-        per_shard_mean[3]
     );
     groups.push(("shard-sweep".to_string(), sweep_group));
 

@@ -6,8 +6,9 @@
 //!
 //! Run: `cargo run --release -p prognosticator-bench --bin scaling`
 
-use prognosticator_bench::sim::{CostModel, SimReplica, SimSeq};
+use prognosticator_bench::sim::{CostModel, SimReplica};
 use prognosticator_bench::{render_table, tpcc_setup, SystemKind};
+use prognosticator_core::baselines::SeqEngine;
 use prognosticator_storage::EpochStore;
 use std::sync::Arc;
 
@@ -19,17 +20,17 @@ fn makespan_ms(kind: SystemKind, workers: usize, setup: &prognosticator_bench::W
     (setup.populate)(&store);
     let cost = CostModel { workers, ..CostModel::default() };
     let mut gen = (setup.make_gen)(0xBEEF);
-    let total_ns: u64 = match kind.config(workers) {
+    let total: std::time::Duration = match kind.config(workers) {
         Some(config) => {
             let mut r = SimReplica::new(config, cost, Arc::clone(&setup.catalog), store);
-            (0..BATCHES).map(|_| r.execute_batch(gen(BATCH)).makespan_ns).sum()
+            (0..BATCHES).map(|_| r.execute_batch(gen(BATCH)).duration).sum()
         }
         None => {
-            let mut r = SimSeq::new(cost, Arc::clone(&setup.catalog), store);
-            (0..BATCHES).map(|_| r.execute_batch(gen(BATCH)).makespan_ns).sum()
+            let mut seq = SeqEngine::new(Arc::clone(&setup.catalog), store);
+            (0..BATCHES).map(|_| cost.run_seq(&mut seq, gen(BATCH)).duration).sum()
         }
     };
-    total_ns as f64 / BATCHES as f64 / 1_000_000.0
+    total.as_secs_f64() * 1_000.0 / BATCHES as f64
 }
 
 fn main() {

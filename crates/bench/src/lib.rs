@@ -16,11 +16,13 @@
 pub mod json;
 pub mod sim;
 
-use prognosticator_core::{baselines, Catalog, Replica, SchedulerConfig, StageTimings, TxRequest};
+use prognosticator_core::{
+    baselines, BatchOutcome, Catalog, Replica, SchedulerConfig, StageTimings, TxRequest,
+};
 use prognosticator_core::baselines::SeqEngine;
 use prognosticator_obs::Histogram;
 use prognosticator_storage::{EpochStore, LatencyConfig};
-use sim::{CostModel, SimReplica, SimSeq};
+use sim::{CostModel, SimReplica};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -337,90 +339,22 @@ pub struct TrialStats {
     pub stage_hists: Vec<StageHist>,
 }
 
-/// A batch-level digest of what the harness needs from any engine.
-struct BatchFigures {
-    committed: usize,
-    aborted: usize,
-    aborts: usize,
-    carried: usize,
-    latencies_ns: Vec<u64>,
-    prepare_ns_total: u64,
-    prepare_count: u64,
-    reexec_ns_total: u64,
-    reexec_count: u64,
-    stage: StageTimings,
-}
-
+/// Any of the four ways the harness runs a system: threaded or
+/// simulated, parallel or `SEQ`. All report a [`BatchOutcome`].
 enum AnyEngine {
     Parallel(Replica),
     Seq(SeqEngine),
     Sim(SimReplica),
-    SimSeq(SimSeq),
+    SimSeq(SeqEngine, CostModel),
 }
 
 impl AnyEngine {
-    fn execute(&mut self, batch: Vec<TxRequest>) -> BatchFigures {
+    fn execute(&mut self, batch: Vec<TxRequest>) -> BatchOutcome {
         match self {
-            AnyEngine::Parallel(r) => {
-                let o = r.execute_batch(batch);
-                BatchFigures {
-                    committed: o.committed,
-                    aborted: o.aborted,
-                    aborts: o.aborts,
-                    carried: o.carried_over.len(),
-                    latencies_ns: o.latencies_ns,
-                    prepare_ns_total: o.prepare_ns_total,
-                    prepare_count: o.prepare_count,
-                    reexec_ns_total: o.reexec_ns_total,
-                    reexec_count: o.reexec_count,
-                    stage: o.stage,
-                }
-            }
-            AnyEngine::Seq(e) => {
-                let o = e.execute_batch(batch);
-                BatchFigures {
-                    committed: o.committed,
-                    aborted: o.aborted,
-                    aborts: o.aborts,
-                    carried: 0,
-                    latencies_ns: o.latencies_ns,
-                    prepare_ns_total: 0,
-                    prepare_count: 0,
-                    reexec_ns_total: 0,
-                    reexec_count: 0,
-                    stage: StageTimings::default(),
-                }
-            }
-            AnyEngine::Sim(r) => {
-                let o = r.execute_batch(batch);
-                BatchFigures {
-                    committed: o.committed,
-                    aborted: o.aborted,
-                    aborts: o.aborts,
-                    carried: o.carried_over.len(),
-                    latencies_ns: o.latencies_ns,
-                    prepare_ns_total: o.prepare_ns_total,
-                    prepare_count: o.prepare_count,
-                    reexec_ns_total: o.reexec_ns_total,
-                    reexec_count: o.reexec_count,
-                    stage: o.stage,
-                }
-            }
-            AnyEngine::SimSeq(e) => {
-                let o = e.execute_batch(batch);
-                BatchFigures {
-                    committed: o.committed,
-                    aborted: o.aborted,
-                    aborts: o.aborts,
-                    carried: 0,
-                    latencies_ns: o.latencies_ns,
-                    prepare_ns_total: 0,
-                    prepare_count: 0,
-                    reexec_ns_total: 0,
-                    reexec_count: 0,
-                    stage: o.stage,
-                }
-            }
+            AnyEngine::Parallel(r) => r.execute_batch(batch),
+            AnyEngine::Seq(e) => e.execute_batch(batch),
+            AnyEngine::Sim(r) => r.execute_batch(batch),
+            AnyEngine::SimSeq(e, cost) => cost.run_seq(e, batch),
         }
     }
 
@@ -444,7 +378,7 @@ fn build_engine(kind: SystemKind, setup: &WorkloadSetup, cfg: &SustainConfig) ->
                 Arc::clone(&setup.catalog),
                 store,
             )),
-            None => AnyEngine::SimSeq(SimSeq::new(cost, Arc::clone(&setup.catalog), store)),
+            None => AnyEngine::SimSeq(SeqEngine::new(Arc::clone(&setup.catalog), store), cost),
         };
     }
     let store = Arc::new(
@@ -496,14 +430,15 @@ pub fn run_trial(
             hist.record(ns / 1000);
         }
         latencies.extend(&outcome.latencies_ns);
-        stats.carried += outcome.carried;
+        let carried = outcome.carried_over.len();
+        stats.carried += carried;
         // The paper measures latency "from the time a transaction first
         // arrives at a replica until it exits the system": a transaction
         // handed back to the client (Calvin's failed DTs) waits at least
         // one more batch interval, so charge that sample explicitly. p99
         // then tolerates < 1% carried transactions — the sustainability
         // cliff Calvin falls off as contention grows.
-        for _ in 0..outcome.carried {
+        for _ in 0..carried {
             latencies.push(interval_ns + interval_ns / 2);
         }
         stats.committed += outcome.committed;

@@ -4,28 +4,37 @@
 //! The paper's testbed is a 20-core Xeon over RocksDB; the evaluation
 //! figures are about *scheduling* — how much parallelism each policy
 //! extracts from a batch given its conflict structure. This simulator
-//! replays the engine's exact semantics (phases, per-key FIFO lock queues,
-//! DT preparation and pivot validation, SF/MF/next-batch failure handling,
-//! staleness, table-granularity NODO) against the real [`EpochStore`]
-//! state machine, but advances a virtual clock with an explicit
-//! [`CostModel`] instead of running threads. Results are therefore exact,
+//! walks each batch through the scheduling core
+//! ([`prognosticator_core::sched`]: classification, DT preparation,
+//! run-one-transaction, failed-transaction policy, outcome fold — the
+//! same functions the threaded [`prognosticator_core::Engine`] calls)
+//! against the real [`EpochStore`], but advances a virtual clock with an
+//! explicit [`CostModel`] instead of running threads, charging time from
+//! the operation counts the core returns. Results are therefore exact,
 //! reproducible, and independent of the host's core count — the
 //! substitution DESIGN.md §2 documents for the missing 20-core testbed.
-//! (The threaded [`prognosticator_core::Engine`] implements the same
-//! semantics and is cross-checked against this simulator in the test
-//! suite; use it for wall-clock runs on real multicore hardware.)
 //!
-//! All simulated durations are in nanoseconds of virtual time.
+//! What the simulator keeps to itself is what genuinely differs from the
+//! engine: the cost model, the virtual clocks, and its own per-key FIFO
+//! queues and ready-heap. It shares no lock-table code with the engine,
+//! so it stays the independent reference for *grant order and round
+//! membership* in the engine≡simulator differential suites.
+//!
+//! All simulated durations are in nanoseconds of virtual time; a
+//! [`BatchOutcome`]'s `duration` is the virtual batch makespan.
 
+use prognosticator_core::baselines::SeqEngine;
+use prognosticator_core::sched::{self, RoundAction, RunMode, Snapshot, Tx, TxState, TxStatus};
 use prognosticator_core::{
-    AbortReason, AccessScope, Catalog, ExecView, FailedPolicy, FaultPlan, Granularity,
-    PrepareMode, ProgId, SchedulerConfig, StageTimings, TxClass, TxOutcome, TxRequest,
+    BatchOutcome, Catalog, FaultPlan, OpCounts, SchedulerConfig, SpecializationSet, TxClass,
+    TxRequest,
 };
 use prognosticator_storage::EpochStore;
-use prognosticator_symexec::{PredictError, Prediction};
-use prognosticator_txir::{Interpreter, Key, TxStore, Value};
-use std::collections::HashMap;
+use prognosticator_txir::Key;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Virtual-time costs. Defaults approximate the paper's RocksDB-behind-JNI
 /// deployment on a 20-core machine.
@@ -60,86 +69,36 @@ impl Default for CostModel {
     }
 }
 
-/// Outcome of one simulated batch (mirrors
-/// [`prognosticator_core::BatchOutcome`], in virtual time).
-#[derive(Debug, Clone, Default)]
-pub struct SimOutcome {
-    /// Transactions in the batch.
-    pub batch_size: usize,
-    /// Committed transactions.
-    pub committed: usize,
-    /// Transactions deterministically aborted (workload bugs and injected
-    /// faults) — mirrors `BatchOutcome::aborted`.
-    pub aborted: usize,
-    /// Abort-and-retry events.
-    pub aborts: usize,
-    /// Scheduling rounds used.
-    pub rounds: u32,
-    /// Requests handed back for a later batch (Calvin).
-    pub carried_over: Vec<TxRequest>,
-    /// Virtual batch makespan (ns).
-    pub makespan_ns: u64,
-    /// Per-committed-transaction completion times (ns from batch start).
-    pub latencies_ns: Vec<u64>,
-    /// Total / count of DT preparation work (ns, ops).
-    pub prepare_ns_total: u64,
-    /// Number of preparations.
-    pub prepare_count: u64,
-    /// Total first-failure→commit virtual time over re-executed txs.
-    pub reexec_ns_total: u64,
-    /// Number of re-executed transactions.
-    pub reexec_count: u64,
-    /// Per-transaction verdicts, indexed by batch position — must equal
-    /// the threaded engine's `BatchOutcome::outcomes` byte-for-byte for
-    /// the same batch and fault plan.
-    pub outcomes: Vec<TxOutcome>,
-    /// Per-stage virtual-time breakdown (same schema as the threaded
-    /// engine's `BatchOutcome::stage`). `overlap_ns` models the paper's
-    /// prepare-ahead queuer: how much of this batch's classification hides
-    /// behind the previous batch's update phase. Report-only — the
-    /// makespan is unchanged, keeping the engine/simulator differential
-    /// oracles exact.
-    pub stage: StageTimings,
-}
-
-/// A store adapter that counts accesses (to charge virtual time) while
-/// delegating to a scoped, buffered [`ExecView`].
-struct CountingView<'a> {
-    view: ExecView<'a>,
-    reads: u64,
-    writes: u64,
-}
-
-impl TxStore for CountingView<'_> {
-    fn get(&mut self, key: &Key) -> Option<Value> {
-        self.reads += 1;
-        self.view.get(key)
+impl CostModel {
+    /// Virtual time of one execution: every `GET` (buffer hits and
+    /// out-of-scope reads included) and pivot validation is a read.
+    fn exec_ns(&self, ops: OpCounts) -> u64 {
+        (ops.gets + ops.pivot_reads) * self.read_ns + ops.puts * self.write_ns
     }
-    fn put(&mut self, key: &Key, value: Value) {
-        self.writes += 1;
-        self.view.put(key, value)
+
+    /// Virtual time of one preparation: pivot resolutions, or every
+    /// reconnaissance read that reached the store (writes are buffered
+    /// client-side, and reading them back is free).
+    fn prepare_ns(&self, ops: OpCounts) -> u64 {
+        (ops.pivot_reads + ops.gets - ops.buffer_hits) * self.read_ns
+    }
+
+    /// The simulated `SEQ` baseline: the real [`SeqEngine`] with one
+    /// virtual worker's clock in place of the wall clock.
+    pub fn run_seq(&self, seq: &mut SeqEngine, batch: Vec<TxRequest>) -> BatchOutcome {
+        let mut clock = 0u64;
+        let mut outcome = seq.execute_batch_on(batch, |ops| {
+            clock += self.exec_ns(ops);
+            clock
+        });
+        outcome.stage.execute_ns = clock;
+        outcome
     }
 }
 
-struct SimTx {
-    req: TxRequest,
-    class: TxClass,
-    prediction: Option<Prediction>,
-    table_scope: Option<AccessScope>,
-    /// Completion time (ns), None until committed.
-    finished: Option<u64>,
-    first_fail: Option<u64>,
-    /// Deterministic abort verdict (workload bug or injected fault).
-    aborted: Option<AbortReason>,
-}
-
-/// Result of one simulated update execution.
-enum ExecStatus {
-    Committed,
-    /// Validation failure: retry per the failed policy.
-    Failed,
-    /// Deterministic abort — final, no retry.
-    Aborted(AbortReason),
+/// The index of the earliest-free of `clocks` (first on ties).
+fn earliest(clocks: &[u64]) -> usize {
+    (0..clocks.len()).min_by_key(|&c| clocks[c]).expect("at least one clock")
 }
 
 /// The simulated replica: real state, virtual time.
@@ -150,6 +109,8 @@ pub struct SimReplica {
     cost: CostModel,
     carry_over: Vec<TxRequest>,
     fault_plan: Option<FaultPlan>,
+    /// The simulator installs no specializations.
+    specs: SpecializationSet,
     batches_executed: u64,
     /// Previous batch's update-phase span, for the prepare-ahead overlap
     /// report (classification of batch `N+1` hides behind it).
@@ -171,6 +132,7 @@ impl SimReplica {
             cost,
             carry_over: Vec::new(),
             fault_plan: None,
+            specs: SpecializationSet::empty(),
             batches_executed: 0,
             prev_execute_ns: 0,
         }
@@ -178,20 +140,8 @@ impl SimReplica {
 
     /// Installs (or clears) a deterministic fault-injection plan — the
     /// same plan the threaded engine takes, producing the same verdicts.
-    /// The simulator records each injected worker panic's abort verdict
-    /// directly instead of unwinding.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault_plan = plan;
-    }
-
-    /// The injected abort verdict for transaction `i` of the upcoming
-    /// batch, if the plan fires. Virtual cost is zero: the engine's
-    /// injection panics at execution entry, before any store access.
-    fn injected(&self, batch: u64, i: usize) -> Option<AbortReason> {
-        self.fault_plan.as_ref().and_then(|plan| {
-            plan.injects_worker_panic(batch, i as u32)
-                .then(|| FaultPlan::injected_abort_reason(batch, i as u32))
-        })
     }
 
     /// The underlying store.
@@ -206,7 +156,7 @@ impl SimReplica {
 
     /// Simulates one batch (prepending any carried-over requests) and
     /// commits its epoch on the real store.
-    pub fn execute_batch(&mut self, batch: Vec<TxRequest>) -> SimOutcome {
+    pub fn execute_batch(&mut self, batch: Vec<TxRequest>) -> BatchOutcome {
         let mut full = std::mem::take(&mut self.carry_over);
         full.extend(batch);
         let batch_index = self.batches_executed;
@@ -217,603 +167,263 @@ impl SimReplica {
         outcome.stage.commit_ns = self.cost.sync_ns;
         // Prepare-ahead overlap: the single queuer classifies batch N+1
         // while batch N's update phase runs, so up to that span of this
-        // batch's classification is off the critical path.
+        // batch's classification is off the critical path. Report-only —
+        // the makespan is unchanged.
         outcome.stage.overlap_ns = outcome.stage.predict_ns.min(self.prev_execute_ns);
         self.prev_execute_ns = outcome.stage.execute_ns;
         outcome
     }
 
-    fn classify(&self, req: TxRequest) -> SimTx {
-        let entry = self.catalog.entry(req.program);
-        let mut prediction = None;
-        let mut table_scope = None;
-        let class = match self.config.granularity {
-            Granularity::Table => {
-                let tables: std::collections::HashSet<_> = entry
-                    .read_tables()
-                    .iter()
-                    .chain(entry.write_tables())
-                    .copied()
-                    .collect();
-                table_scope = Some(AccessScope::Tables(tables));
-                TxClass::Independent
-            }
-            Granularity::Key => match self.config.prepare {
-                PrepareMode::Profile => match entry.profile() {
-                    Some(p) if p.class() == TxClass::ReadOnly => TxClass::ReadOnly,
-                    Some(p) => match p.predict_direct(&req.inputs) {
-                        Ok(pred) => {
-                            prediction = Some(pred);
-                            TxClass::Independent
-                        }
-                        Err(PredictError::NeedsStore) => TxClass::Dependent,
-                        Err(PredictError::Eval(e)) => panic!("profile mismatch: {e}"),
-                    },
-                    None if !entry.writes() => TxClass::ReadOnly,
-                    None => TxClass::Dependent,
-                },
-                PrepareMode::Reconnaissance => {
-                    if entry.writes() {
-                        TxClass::Dependent
-                    } else {
-                        TxClass::ReadOnly
-                    }
-                }
-            },
-        };
-        SimTx {
-            req,
-            class,
-            prediction,
-            table_scope,
-            finished: None,
-            first_fail: None,
-            aborted: None,
-        }
+    /// Runs transaction `i` through the core and prices its operations.
+    /// An injected fault fires at execution entry, before any store
+    /// access, so it carries zero virtual cost.
+    fn run(&self, tx: &mut (Tx, TxState), batch: u64, i: usize, mode: RunMode) -> (TxStatus, u64) {
+        let faults = self.fault_plan.as_ref().map(|plan| (plan, batch, i as u32));
+        let (status, ops) = sched::run_tx(&self.store, &tx.0, &mut tx.1, mode, faults);
+        (status, self.cost.exec_ns(ops))
     }
 
-    /// Prepares a DT: fills its prediction and returns the virtual cost.
-    fn prepare(&self, tx: &mut SimTx, epoch: Option<u64>) -> u64 {
-        let entry = self.catalog.entry(tx.req.program);
-        match self.config.prepare {
-            PrepareMode::Profile if entry.profile().is_some() => {
-                let profile = entry.profile().expect("checked").clone();
-                let mut reads = 0u64;
-                let store = &self.store;
-                let mut resolver = |k: &Key| -> Value {
-                    reads += 1;
-                    match epoch {
-                        Some(e) => store.get_at(k, e),
-                        None => store.get_latest(k),
-                    }
-                    .unwrap_or(Value::Unit)
-                };
-                let pred = profile
-                    .predict(&tx.req.inputs, Some(&mut resolver))
-                    .expect("profile prediction");
-                tx.prediction = Some(pred);
-                reads * self.cost.read_ns
-            }
-            _ => {
-                // Reconnaissance: pre-execute on the snapshot; charge every
-                // read (writes are buffered client-side).
-                let program = entry.program().clone();
-                let interp = Interpreter::new().without_input_validation();
-                struct SnapView<'a> {
-                    store: &'a EpochStore,
-                    epoch: Option<u64>,
-                    buffer: HashMap<Key, Value>,
-                    reads: u64,
-                }
-                impl TxStore for SnapView<'_> {
-                    fn get(&mut self, key: &Key) -> Option<Value> {
-                        if let Some(v) = self.buffer.get(key) {
-                            return Some(v.clone());
-                        }
-                        self.reads += 1;
-                        match self.epoch {
-                            Some(e) => self.store.get_at(key, e),
-                            None => self.store.get_latest(key),
-                        }
-                    }
-                    fn put(&mut self, key: &Key, value: Value) {
-                        self.buffer.insert(key.clone(), value);
-                    }
-                }
-                let mut view =
-                    SnapView { store: &self.store, epoch, buffer: HashMap::new(), reads: 0 };
-                match interp.run(&program, &tx.req.inputs, &mut view) {
-                    Ok(out) => {
-                        let mut pred = Prediction::default();
-                        for k in &out.trace.reads {
-                            if !pred.reads.contains(k) {
-                                pred.reads.push(k.clone());
-                            }
-                        }
-                        for k in &out.trace.writes {
-                            if !pred.writes.contains(k) {
-                                pred.writes.push(k.clone());
-                            }
-                        }
-                        tx.prediction = Some(pred);
-                    }
-                    // Workload bug during reconnaissance: deterministic
-                    // per-transaction abort (mirrors the engine).
-                    Err(e) => {
-                        tx.aborted = Some(AbortReason::workload(program.name(), e));
-                    }
-                }
-                view.reads * self.cost.read_ns
-            }
-        }
+    /// Prepares `tx` on the earliest-free of `preparers`.
+    fn prepare_on(
+        &self,
+        tx: &mut (Tx, TxState),
+        snapshot: Snapshot,
+        preparers: &mut [u64],
+        outcome: &mut BatchOutcome,
+    ) {
+        let mode = self.config.prepare;
+        let ops = sched::prepare(&self.store, &tx.0, &mut tx.1, mode, &self.specs, snapshot);
+        let prep_cost = self.cost.prepare_ns(ops);
+        preparers[earliest(preparers)] += prep_cost;
+        outcome.prepare_ns_total += prep_cost;
+        outcome.prepare_count += 1;
     }
 
-    /// Executes one update transaction against the real store, returning
-    /// its status and virtual cost. Mirrors the engine's per-transaction
-    /// abort protocol: injected faults and workload bugs are final aborts
-    /// (buffered writes discarded), validation failures are retried.
-    fn execute(&self, tx: &SimTx, batch: u64, i: usize) -> (ExecStatus, u64) {
-        // Injection fires at execution entry — before any store access —
-        // so an injected abort carries zero virtual cost.
-        if let Some(reason) = self.injected(batch, i) {
-            return (ExecStatus::Aborted(reason), 0);
-        }
-        let entry = self.catalog.entry(tx.req.program);
-        let program = entry.program();
-        let interp = Interpreter::new().without_input_validation();
-        let mut cost = 0u64;
-
-        if let Some(scope) = &tx.table_scope {
-            // NODO: scoped direct execution, never fails validation.
-            let mut view =
-                CountingView { view: ExecView::new(&self.store, scope), reads: 0, writes: 0 };
-            let run = interp.run(program, &tx.req.inputs, &mut view);
-            cost += view.reads * self.cost.read_ns + view.writes * self.cost.write_ns;
-            return match run {
-                Ok(_) => {
-                    assert!(!view.view.violated(), "static table scope cannot be violated");
-                    view.view.commit();
-                    (ExecStatus::Committed, cost)
-                }
-                Err(e) => {
-                    (ExecStatus::Aborted(AbortReason::workload(program.name(), e)), cost)
-                }
-            };
-        }
-
-        let prediction = tx.prediction.as_ref().expect("prepared before execution");
-        // Pivot validation (profile mode observations; reconnaissance
-        // predictions have none — their check is scope containment).
-        for (key, observed) in &prediction.pivot_observations {
-            cost += self.cost.read_ns;
-            let current = self.store.get_latest(key).unwrap_or(Value::Unit);
-            if &current != observed {
-                return (ExecStatus::Failed, cost);
+    /// Serial re-execution on the queuer, in client order: no locks, no
+    /// preparation, no validation (nothing else runs). Returns the clock
+    /// after the last transaction.
+    fn run_serially(
+        &self,
+        txs: &mut [(Tx, TxState)],
+        batch: u64,
+        failed: &[usize],
+        mut clock: u64,
+    ) -> u64 {
+        for &i in failed {
+            let (status, ns) = self.run(&mut txs[i], batch, i, RunMode::Serial);
+            clock += ns;
+            if let TxStatus::Committed(_) = status {
+                txs[i].1.finished_ns = clock.max(1);
             }
         }
-        let scope = AccessScope::keys_of(prediction);
-        let mut view =
-            CountingView { view: ExecView::new(&self.store, &scope), reads: 0, writes: 0 };
-        let run = interp.run(program, &tx.req.inputs, &mut view);
-        cost += view.reads * self.cost.read_ns + view.writes * self.cost.write_ns;
-        match run {
-            Ok(_) if !view.view.violated() => {
-                view.view.commit();
-                (ExecStatus::Committed, cost)
-            }
-            Ok(_) => (ExecStatus::Failed, cost),
-            Err(_) if view.view.violated() => (ExecStatus::Failed, cost),
-            Err(e) => (ExecStatus::Aborted(AbortReason::workload(program.name(), e)), cost),
-        }
+        clock
     }
 
-    /// Serial, lock-free execution against the live store (the SF path).
-    /// Writes are buffered per transaction — a workload bug aborts with no
-    /// torn writes, exactly like the engine's `execute_live_buffered`.
-    /// Returns the abort verdict (if any) and the virtual cost.
-    fn execute_serial(&self, tx: &SimTx) -> (Result<(), AbortReason>, u64) {
-        let entry = self.catalog.entry(tx.req.program);
-        let program = entry.program();
-        let interp = Interpreter::new().without_input_validation();
-        struct CountingBuffered<'a> {
-            store: &'a EpochStore,
-            buffer: HashMap<Key, Value>,
-            reads: u64,
-            writes: u64,
+    /// One round's build and update phases over `members`, starting at
+    /// virtual time `start`: the simulator's own scheduler — per-key FIFO
+    /// queues in member order and a discrete-event loop over a ready-heap
+    /// and the workers' clocks. Returns the failed transactions in client
+    /// order and the time the update barrier is crossed.
+    fn run_round(
+        &self,
+        txs: &mut [(Tx, TxState)],
+        members: &[usize],
+        batch: u64,
+        start: u64,
+        outcome: &mut BatchOutcome,
+    ) -> (Vec<usize>, u64) {
+        let cost = &self.cost;
+        // Build phase (queuer, serial).
+        let mut key_queues: HashMap<Key, Vec<usize>> = HashMap::new();
+        let mut key_count = 0u64;
+        let mut lock_keys: Vec<Vec<Key>> = Vec::with_capacity(members.len());
+        for &i in members {
+            let keys = sched::lock_keys(&txs[i].0, &txs[i].1);
+            key_count += keys.len() as u64;
+            for k in &keys {
+                key_queues.entry(k.clone()).or_default().push(i);
+            }
+            lock_keys.push(keys);
         }
-        impl TxStore for CountingBuffered<'_> {
-            fn get(&mut self, key: &Key) -> Option<Value> {
-                self.reads += 1;
-                if let Some(v) = self.buffer.get(key) {
-                    return Some(v.clone());
+        let mut clock = start + key_count * cost.lock_op_ns + cost.sync_ns;
+        outcome.stage.queue_ns += key_count * cost.lock_op_ns + cost.sync_ns;
+        // Contended keys this round: queues holding more than one
+        // transaction — the same pure-structural count the engine's
+        // frozen lock table reports.
+        outcome.stage.lock_contended_keys +=
+            key_queues.values().filter(|q| q.len() > 1).count() as u64;
+
+        // Update phase: discrete-event loop.
+        let update_start = clock;
+        let member_pos: HashMap<usize, usize> =
+            members.iter().enumerate().map(|(pos, &i)| (i, pos)).collect();
+        let mut remaining: HashMap<usize, usize> =
+            members.iter().map(|&i| (i, lock_keys[member_pos[&i]].len())).collect();
+        let mut cursor: HashMap<&Key, usize> = HashMap::new();
+        // Min-heap of (ready time, tx index): the moment a tx reached
+        // the head of all its queues.
+        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        for (k, q) in &key_queues {
+            let head = q[0];
+            let r = remaining.get_mut(&head).expect("member");
+            *r -= 1;
+            if *r == 0 {
+                ready.push(Reverse((clock, head)));
+            }
+            cursor.insert(k, 0usize);
+        }
+        for (&i, &r) in &remaining {
+            if r == 0 && lock_keys[member_pos[&i]].is_empty() {
+                ready.push(Reverse((clock, i)));
+            }
+        }
+        let mut workers: Vec<u64> = vec![clock; cost.workers];
+        let mut failed: Vec<usize> = Vec::new();
+        let mut phase_end = clock;
+        for _ in 0..members.len() {
+            // Earliest-ready transaction; ties by index (determinism).
+            let Reverse((ready_at, i)) = ready.pop().expect("liveness: a ready tx exists");
+            let w = earliest(&workers);
+            let begin = workers[w].max(ready_at);
+            // Virtual wait episode: the earliest-free worker sat idle
+            // until this transaction became ready — the simulator's
+            // deterministic analogue of the engine's spin episodes.
+            if ready_at > workers[w] {
+                outcome.stage.lock_waits += 1;
+            }
+            let (status, exec_cost) = self.run(&mut txs[i], batch, i, RunMode::Locked);
+            let finish = begin + exec_cost;
+            workers[w] = finish;
+            phase_end = phase_end.max(finish);
+            match status {
+                TxStatus::Committed(_) => txs[i].1.finished_ns = finish.max(1),
+                TxStatus::Retry(_) => {
+                    outcome.aborts += 1;
+                    if txs[i].1.first_fail_ns == 0 {
+                        txs[i].1.first_fail_ns = finish.max(1);
+                    }
+                    failed.push(i);
                 }
-                self.store.get_latest(key)
+                // Final verdict: locks still release below, so
+                // successors unblock exactly as on commit.
+                TxStatus::Aborted => {}
             }
-            fn put(&mut self, key: &Key, value: Value) {
-                self.writes += 1;
-                self.buffer.insert(key.clone(), value);
-            }
-        }
-        let mut view =
-            CountingBuffered { store: &self.store, buffer: HashMap::new(), reads: 0, writes: 0 };
-        let run = interp.run(program, &tx.req.inputs, &mut view);
-        let cost = view.reads * self.cost.read_ns + view.writes * self.cost.write_ns;
-        match run {
-            Ok(_) => {
-                for (k, v) in view.buffer {
-                    self.store.put(&k, v);
+            // Release locks: successors whose queues all reached them
+            // become ready at `finish`.
+            for k in &lock_keys[member_pos[&i]] {
+                let q = &key_queues[k];
+                let c = cursor.get_mut(k as &Key).expect("cursor");
+                debug_assert_eq!(q[*c], i);
+                *c += 1;
+                if let Some(&succ) = q.get(*c) {
+                    let r = remaining.get_mut(&succ).expect("member");
+                    *r -= 1;
+                    if *r == 0 {
+                        ready.push(Reverse((finish, succ)));
+                    }
                 }
-                (Ok(()), cost)
             }
-            Err(e) => (Err(AbortReason::workload(program.name(), e)), cost),
         }
+        clock = phase_end + cost.sync_ns;
+        outcome.stage.execute_ns += clock - update_start;
+        failed.sort_unstable();
+        (failed, clock)
     }
 
-    fn run_batch(&mut self, batch: Vec<TxRequest>, batch_index: u64) -> SimOutcome {
-        let cost = self.cost.clone();
+    fn run_batch(&self, batch: Vec<TxRequest>, batch_index: u64) -> BatchOutcome {
+        let cost = &self.cost;
+        let config = &self.config;
         let snapshot = self.store.snapshot_epoch();
-        let prepare_epoch = snapshot.saturating_sub(self.config.prepare_staleness);
-        let mut outcome = SimOutcome { batch_size: batch.len(), ..SimOutcome::default() };
+        let prepare_epoch = snapshot.saturating_sub(config.prepare_staleness);
+        let mut outcome = BatchOutcome { batch_size: batch.len(), ..BatchOutcome::default() };
 
         // --- Classification (queuer, serial) ---
-        let mut txs: Vec<SimTx> = batch.into_iter().map(|r| self.classify(r)).collect();
+        let mut txs: Vec<(Tx, TxState)> = batch
+            .into_iter()
+            .map(|req| {
+                sched::classify(config.granularity, config.prepare, &self.catalog, &self.specs, req)
+            })
+            .collect();
         let queuer_busy_ns = txs.len() as u64 * cost.classify_ns;
         outcome.stage.predict_ns = queuer_busy_ns;
-
-        let mut rot_idxs = Vec::new();
-        let mut dt_idxs = Vec::new();
-        let mut it_idxs = Vec::new();
-        for (i, tx) in txs.iter().enumerate() {
-            match tx.class {
-                TxClass::ReadOnly => rot_idxs.push(i),
-                TxClass::Dependent => dt_idxs.push(i),
-                TxClass::Independent => it_idxs.push(i),
-            }
-        }
+        let of_class = |class: TxClass| -> Vec<usize> {
+            (0..txs.len()).filter(|&i| txs[i].0.class == class).collect()
+        };
+        let (rot_idxs, dt_idxs) = (of_class(TxClass::ReadOnly), of_class(TxClass::Dependent));
+        let it_idxs = of_class(TxClass::Independent);
 
         // --- Phase 1: ROTs on workers, DT preparation (queuer ± workers) ---
         let mut worker_free = vec![0u64; cost.workers];
         for (n, &i) in rot_idxs.iter().enumerate() {
             let w = n % cost.workers;
-            // An injected worker panic aborts the ROT at execution entry
-            // (zero virtual cost, no reads).
-            if let Some(reason) = self.injected(batch_index, i) {
-                txs[i].aborted = Some(reason);
-                continue;
-            }
-            let entry = self.catalog.entry(txs[i].req.program);
-            let program = entry.program().clone();
-            let interp = Interpreter::new().without_input_validation();
-            let mut view = self.store.snapshot(snapshot);
-            match interp.run(&program, &txs[i].req.inputs, &mut view) {
-                Ok(out) => {
-                    let rot_cost = out.trace.reads.len() as u64 * cost.read_ns;
-                    worker_free[w] += rot_cost;
-                    txs[i].finished = Some(worker_free[w]);
-                }
-                Err(e) => {
-                    txs[i].aborted = Some(AbortReason::workload(program.name(), e));
-                }
+            let (status, ns) = self.run(&mut txs[i], batch_index, i, RunMode::Snapshot(snapshot));
+            // An aborted ROT (injected fault, workload bug) is not charged.
+            if let TxStatus::Committed(_) = status {
+                worker_free[w] += ns;
+                txs[i].1.finished_ns = worker_free[w].max(1);
             }
         }
         // Prepare tasks: greedy to the earliest-free preparer. The queuer
         // starts after classification; workers (MQ only) after their ROTs.
-        let mut preparers: Vec<u64> = if self.config.parallel_prepare {
-            let mut v = worker_free.clone();
-            v.push(queuer_busy_ns);
-            v
+        let mut preparers: Vec<u64> = if config.parallel_prepare {
+            worker_free.iter().copied().chain([queuer_busy_ns]).collect()
         } else {
             vec![queuer_busy_ns]
         };
         for &i in &dt_idxs {
-            let prep_cost = {
-                let tx = &mut txs[i];
-                self.prepare(tx, Some(prepare_epoch))
-            };
-            let who = (0..preparers.len())
-                .min_by_key(|&p| preparers[p])
-                .expect("at least the queuer");
-            preparers[who] += prep_cost;
-            outcome.prepare_ns_total += prep_cost;
-            outcome.prepare_count += 1;
+            self.prepare_on(&mut txs[i], Snapshot::Epoch(prepare_epoch), &mut preparers, &mut outcome);
         }
-        let phase1_end = worker_free
-            .iter()
-            .chain(preparers.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
-            + cost.sync_ns;
+        let phase1_end =
+            worker_free.iter().chain(&preparers).copied().max().unwrap_or(0) + cost.sync_ns;
 
         // --- Rounds ---
         let mut clock = phase1_end;
-        let mut members: Vec<usize> = dt_idxs.iter().chain(it_idxs.iter()).copied().collect();
+        let mut members: Vec<usize> = dt_idxs.iter().chain(&it_idxs).copied().collect();
         loop {
             outcome.rounds += 1;
             // Slots aborted during preparation carry no prediction and
             // their verdict is final — exclude them, deterministically,
             // exactly as the engine does each round.
-            members.retain(|&i| txs[i].aborted.is_none());
+            members.retain(|&i| txs[i].1.aborted.is_none());
 
-            // Build phase (queuer, serial).
-            let mut key_queues: HashMap<Key, Vec<usize>> = HashMap::new();
-            let mut key_count = 0u64;
-            let mut lock_keys: Vec<Vec<Key>> = Vec::with_capacity(members.len());
-            for &i in &members {
-                let keys: Vec<Key> = match &txs[i].table_scope {
-                    Some(AccessScope::Tables(tables)) => {
-                        let mut ks: Vec<Key> =
-                            tables.iter().map(|t| Key::new(*t, Vec::new())).collect();
-                        ks.sort();
-                        ks
-                    }
-                    _ => txs[i].prediction.as_ref().expect("prepared").key_set(),
-                };
-                key_count += keys.len() as u64;
-                for k in &keys {
-                    key_queues.entry(k.clone()).or_default().push(i);
-                }
-                lock_keys.push(keys);
-            }
-            clock += key_count * cost.lock_op_ns + cost.sync_ns;
-            outcome.stage.queue_ns += key_count * cost.lock_op_ns + cost.sync_ns;
-            // Contended keys this round: queues holding more than one
-            // transaction — the same pure-structural count the engine's
-            // frozen lock table reports.
-            outcome.stage.lock_contended_keys +=
-                key_queues.values().filter(|q| q.len() > 1).count() as u64;
-
-            // Update phase: discrete-event loop.
-            let update_start = clock;
-            let member_pos: HashMap<usize, usize> =
-                members.iter().enumerate().map(|(pos, &i)| (i, pos)).collect();
-            let mut remaining: HashMap<usize, usize> =
-                members.iter().map(|&i| (i, lock_keys[member_pos[&i]].len())).collect();
-            let mut cursor: HashMap<&Key, usize> = HashMap::new();
-            // Min-heap of (ready time, tx index): the moment a tx reached
-            // the head of all its queues.
-            use std::cmp::Reverse;
-            use std::collections::BinaryHeap;
-            let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-            for (k, q) in &key_queues {
-                let head = q[0];
-                let r = remaining.get_mut(&head).expect("member");
-                *r -= 1;
-                if *r == 0 {
-                    ready.push(Reverse((clock, head)));
-                }
-                cursor.insert(k, 0usize);
-            }
-            for (&i, &r) in &remaining {
-                if r == 0 && lock_keys[member_pos[&i]].is_empty() {
-                    ready.push(Reverse((clock, i)));
-                }
-            }
-            let mut workers: Vec<u64> = vec![clock; cost.workers];
-            let mut failed: Vec<usize> = Vec::new();
-            let mut done = 0usize;
-            let total = members.len();
-            let mut phase_end = clock;
-            while done < total {
-                // Earliest-ready transaction; ties by index (determinism).
-                let Reverse((ready_at, i)) = ready.pop().expect("liveness: a ready tx exists");
-                // Earliest-free worker.
-                let w = (0..workers.len())
-                    .min_by_key(|&w| workers[w])
-                    .expect("nonzero workers");
-                let start = workers[w].max(ready_at);
-                // Virtual wait episode: the earliest-free worker sat idle
-                // until this transaction became ready — the simulator's
-                // deterministic analogue of the engine's spin episodes.
-                if ready_at > workers[w] {
-                    outcome.stage.lock_waits += 1;
-                }
-                let (status, exec_cost) = self.execute(&txs[i], batch_index, i);
-                let finish = start + exec_cost;
-                workers[w] = finish;
-                phase_end = phase_end.max(finish);
-                match status {
-                    ExecStatus::Committed => {
-                        txs[i].finished = Some(finish);
-                    }
-                    ExecStatus::Failed => {
-                        outcome.aborts += 1;
-                        txs[i].first_fail.get_or_insert(finish);
-                        failed.push(i);
-                    }
-                    // Final verdict: locks still release below, so
-                    // successors unblock exactly as on commit.
-                    ExecStatus::Aborted(reason) => {
-                        txs[i].aborted = Some(reason);
-                    }
-                }
-                // Release locks: successors whose queues all reached them
-                // become ready at `finish`.
-                for k in &lock_keys[member_pos[&i]] {
-                    let q = &key_queues[k];
-                    let c = cursor.get_mut(k as &Key).expect("cursor");
-                    debug_assert_eq!(q[*c], i);
-                    *c += 1;
-                    if let Some(&succ) = q.get(*c) {
-                        let r = remaining.get_mut(&succ).expect("member");
-                        *r -= 1;
-                        if *r == 0 {
-                            ready.push(Reverse((finish, succ)));
-                        }
-                    }
-                }
-                done += 1;
-            }
-            clock = phase_end + cost.sync_ns;
-            outcome.stage.execute_ns += clock - update_start;
+            let failed;
+            (failed, clock) = self.run_round(&mut txs, &members, batch_index, clock, &mut outcome);
 
             // Failed handling.
-            failed.sort_unstable();
-            if failed.is_empty() {
-                break;
-            }
-            let fall_back = outcome.rounds >= self.config.max_rounds;
-            match self.config.failed {
-                FailedPolicy::NextBatch => {
-                    for &i in &failed {
-                        outcome.carried_over.push(txs[i].req.clone());
-                    }
+            let any_failed = !failed.is_empty();
+            match sched::after_round(config.failed, outcome.rounds, config.max_rounds, any_failed) {
+                RoundAction::Done => break,
+                RoundAction::CarryOver => {
+                    outcome.carried_over.extend(failed.iter().map(|&i| txs[i].0.req.clone()));
                     break;
                 }
-                FailedPolicy::SingleThread => {
-                    // Serial on the queuer: plain re-execution, no locks,
-                    // no preparation, no validation (nothing else runs).
-                    let serial_start = clock;
-                    for &i in &failed {
-                        let (result, c) = self.execute_serial(&txs[i]);
-                        clock += c;
-                        match result {
-                            Ok(()) => txs[i].finished = Some(clock),
-                            Err(reason) => txs[i].aborted = Some(reason),
-                        }
-                    }
-                    outcome.stage.execute_ns += clock - serial_start;
+                RoundAction::Serial => {
+                    let serial_end = self.run_serially(&mut txs, batch_index, &failed, clock);
+                    outcome.stage.execute_ns += serial_end - clock;
+                    clock = serial_end;
                     break;
                 }
-                FailedPolicy::Reenqueue if !fall_back => {
+                RoundAction::Reenqueue => {
                     // Re-prepare against live state (queuer ± workers,
                     // all idle at `clock`).
-                    let mut preparers =
-                        vec![clock; if self.config.parallel_prepare { cost.workers + 1 } else { 1 }];
+                    let idle = if config.parallel_prepare { cost.workers + 1 } else { 1 };
+                    let mut preparers = vec![clock; idle];
                     for &i in &failed {
-                        let prep = {
-                            let tx = &mut txs[i];
-                            self.prepare(tx, None)
-                        };
-                        let who = (0..preparers.len())
-                            .min_by_key(|&p| preparers[p])
-                            .expect("preparer");
-                        preparers[who] += prep;
-                        outcome.prepare_ns_total += prep;
-                        outcome.prepare_count += 1;
+                        self.prepare_on(&mut txs[i], Snapshot::Live, &mut preparers, &mut outcome);
                     }
                     clock = preparers.into_iter().max().expect("preparer") + cost.sync_ns;
                     members = failed;
                 }
-                FailedPolicy::Reenqueue => {
-                    // max_rounds exceeded: terminate serially.
-                    let serial_start = clock;
-                    for &i in &failed {
-                        let (result, c) = self.execute_serial(&txs[i]);
-                        clock += c;
-                        match result {
-                            Ok(()) => txs[i].finished = Some(clock),
-                            Err(reason) => txs[i].aborted = Some(reason),
-                        }
-                    }
-                    outcome.stage.execute_ns += clock - serial_start;
-                    break;
-                }
             }
         }
 
-        outcome.makespan_ns = clock;
+        outcome.duration = Duration::from_nanos(clock);
         // All preparation work (initial DT prep + any re-prepare rounds)
         // counts toward the queue stage.
         outcome.stage.queue_ns += outcome.prepare_ns_total;
-        for tx in &mut txs {
-            if let Some(reason) = tx.aborted.take() {
-                outcome.aborted += 1;
-                outcome.outcomes.push(TxOutcome::Aborted { reason });
-            } else if let Some(f) = tx.finished {
-                outcome.committed += 1;
-                outcome.latencies_ns.push(f);
-                if let Some(ff) = tx.first_fail {
-                    outcome.reexec_ns_total += f.saturating_sub(ff);
-                    outcome.reexec_count += 1;
-                }
-                outcome.outcomes.push(TxOutcome::Committed);
-            } else {
-                outcome.outcomes.push(TxOutcome::CarriedOver);
-            }
+        for (_, state) in &mut txs {
+            sched::fold_tx(&mut outcome, state);
         }
         outcome
     }
 }
-
-/// A simulated SEQ baseline: one worker executes everything serially.
-pub struct SimSeq {
-    catalog: Arc<Catalog>,
-    store: Arc<EpochStore>,
-    cost: CostModel,
-}
-
-impl SimSeq {
-    /// Creates the simulated sequential engine.
-    pub fn new(cost: CostModel, catalog: Arc<Catalog>, store: Arc<EpochStore>) -> Self {
-        SimSeq { catalog, store, cost }
-    }
-
-    /// Simulates one batch serially.
-    pub fn execute_batch(&mut self, batch: Vec<TxRequest>) -> SimOutcome {
-        let mut outcome = SimOutcome { batch_size: batch.len(), rounds: 1, ..Default::default() };
-        let interp = Interpreter::new().without_input_validation();
-        let mut clock = 0u64;
-        for req in batch {
-            let entry = self.catalog.entry(req.program);
-            // Writes buffered per transaction: a workload bug becomes a
-            // deterministic abort with no torn writes, like the engine.
-            struct CountingBuffered<'a> {
-                store: &'a EpochStore,
-                buffer: HashMap<Key, Value>,
-                reads: u64,
-                writes: u64,
-            }
-            impl TxStore for CountingBuffered<'_> {
-                fn get(&mut self, key: &Key) -> Option<Value> {
-                    self.reads += 1;
-                    if let Some(v) = self.buffer.get(key) {
-                        return Some(v.clone());
-                    }
-                    self.store.get_latest(key)
-                }
-                fn put(&mut self, key: &Key, value: Value) {
-                    self.writes += 1;
-                    self.buffer.insert(key.clone(), value);
-                }
-            }
-            let mut view = CountingBuffered {
-                store: &self.store,
-                buffer: HashMap::new(),
-                reads: 0,
-                writes: 0,
-            };
-            let run = interp.run(entry.program(), &req.inputs, &mut view);
-            clock += view.reads * self.cost.read_ns + view.writes * self.cost.write_ns;
-            match run {
-                Ok(_) => {
-                    for (k, v) in view.buffer {
-                        self.store.put(&k, v);
-                    }
-                    outcome.committed += 1;
-                    outcome.latencies_ns.push(clock);
-                    outcome.outcomes.push(TxOutcome::Committed);
-                }
-                Err(e) => {
-                    outcome.aborted += 1;
-                    outcome.outcomes.push(TxOutcome::Aborted {
-                        reason: AbortReason::workload(entry.program().name(), e),
-                    });
-                }
-            }
-        }
-        outcome.makespan_ns = clock;
-        outcome.stage.execute_ns = clock;
-        self.store.advance_epoch();
-        outcome
-    }
-
-    /// Deterministic state digest.
-    pub fn state_digest(&self) -> u64 {
-        self.store.state_digest()
-    }
-}
-
-/// Retrofit of [`ProgId`] import (used by doc examples).
-#[allow(unused)]
-fn _assert_types(_: ProgId) {}

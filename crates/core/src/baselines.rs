@@ -13,14 +13,13 @@
 //! | [`SeqEngine`] | SEQ | — | — | — |
 
 use crate::catalog::{Catalog, TxRequest};
-use crate::engine::{
-    BatchOutcome, FailedPolicy, Granularity, PrepareMode, SchedulerConfig, TxOutcome,
-};
-use crate::exec::{execute_live_buffered, TxFailure};
-use crate::faults::AbortReason;
+use crate::engine::{BatchOutcome, FailedPolicy, Granularity, PrepareMode, SchedulerConfig};
+use crate::exec::OpCounts;
+use crate::sched::{self, RunMode, TxStatus};
 use prognosticator_storage::EpochStore;
+use prognosticator_symexec::SpecializationSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn base(workers: usize) -> SchedulerConfig {
     SchedulerConfig { workers, ..SchedulerConfig::default() }
@@ -116,33 +115,45 @@ impl SeqEngine {
     }
 
     /// Executes a batch in order on the current thread and commits its
-    /// epoch. Writes are buffered per transaction so a workload bug
-    /// becomes a deterministic [`TxOutcome::Aborted`] with no torn
-    /// writes, exactly like the parallel engine.
+    /// epoch, on the wall clock. Writes are buffered per transaction so a
+    /// workload bug becomes a deterministic [`crate::TxOutcome::Aborted`]
+    /// with no torn writes, exactly like the parallel engine.
     pub fn execute_batch(&mut self, batch: Vec<TxRequest>) -> BatchOutcome {
         let start = Instant::now();
+        self.execute_batch_on(batch, |_| start.elapsed().as_nanos() as u64)
+    }
+
+    /// [`SeqEngine::execute_batch`] on the caller's clock: `clock` is told
+    /// each transaction's operation counts and returns the nanoseconds
+    /// since batch start (the bench simulator prices the counts instead
+    /// of reading a timer).
+    pub fn execute_batch_on(
+        &mut self,
+        batch: Vec<TxRequest>,
+        mut clock: impl FnMut(OpCounts) -> u64,
+    ) -> BatchOutcome {
         let mut outcome = BatchOutcome { batch_size: batch.len(), rounds: 1, ..Default::default() };
+        let specs = SpecializationSet::empty();
         for req in batch {
-            let entry = self.catalog.entry(req.program);
-            match execute_live_buffered(&self.store, entry.program(), &req.inputs) {
-                Ok(_) => {
-                    outcome.committed += 1;
-                    outcome.latencies_ns.push(start.elapsed().as_nanos() as u64);
-                    outcome.outcomes.push(TxOutcome::Committed);
-                }
-                Err(TxFailure::Eval(e)) => {
-                    outcome.aborted += 1;
-                    outcome.outcomes.push(TxOutcome::Aborted {
-                        reason: AbortReason::workload(entry.program().name(), e),
-                    });
-                }
-                Err(other) => unreachable!(
-                    "serial execution holds no locks and has no scope: {other:?}"
-                ),
+            // SEQ is the serial re-execution path applied to every
+            // transaction; reconnaissance-mode classification predicts
+            // nothing, which is all it needs.
+            let (tx, mut state) = sched::classify(
+                Granularity::Key,
+                PrepareMode::Reconnaissance,
+                &self.catalog,
+                &specs,
+                req,
+            );
+            let (status, ops) = sched::run_tx(&self.store, &tx, &mut state, RunMode::Serial, None);
+            let now = clock(ops);
+            if let TxStatus::Committed(_) = status {
+                state.finished_ns = now.max(1);
             }
+            sched::fold_tx(&mut outcome, &mut state);
         }
         self.store.advance_epoch();
-        outcome.duration = start.elapsed();
+        outcome.duration = Duration::from_nanos(clock(OpCounts::default()));
         outcome
     }
 }

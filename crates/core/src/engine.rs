@@ -19,6 +19,14 @@
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
 //!
+//! **The seam.** What a transaction *means* — its class, its prepared
+//! key-set, the verdict of running it, the failed-transaction policy, the
+//! outcome fold — is decided in [`crate::sched`], which knows no threads
+//! and no clock. This module is the threaded *driver* of that core: it
+//! owns the worker pool and its barriers, the per-shard arena lock tables
+//! and the cross-shard exchange, the wall-clock stage timers, and the
+//! observation hooks — i.e. *when and where* each core function runs.
+//!
 //! **Staged lifecycle.** Batch processing is split into two explicit
 //! stages: [`Engine::prepare`] classifies the batch's transactions from
 //! their symbolic-execution profiles into a [`PreparedBatch`] — a pure
@@ -47,25 +55,20 @@
 
 use crate::adapt::{AdaptSink, ObservedVerdict, TxObservation};
 use crate::catalog::{Catalog, TxRequest};
-use crate::exec::{
-    execute_live_buffered, execute_read_only, execute_reconnoitered, execute_scoped,
-    execute_update, reconnoiter, AccessLog, AccessScope, TxFailure,
-};
+use crate::exec::AccessLog;
 use crate::faults::{AbortReason, FaultPlan};
 use crate::locktable::{FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, TxIdx};
+use crate::sched::{self, panic_message, RoundAction, RunMode, Snapshot, Tx, TxState, TxStatus};
 use crate::shard::ShardRouter;
 use crossbeam::queue::SegQueue;
 use crossbeam::utils::Backoff;
 use parking_lot::{Condvar, Mutex, RwLock};
 use prognosticator_obs::{Counter, Event, FlightRecorder, Histogram, Registry};
-use prognosticator_storage::{EpochStore, LatencyConfig, ShardWatermarks};
-use prognosticator_symexec::{
-    apply_narrowing, fingerprint_inputs, predict_specialized, PredictError, Prediction, Profile,
-    ProgSpecialization, SpecializationSet, TxClass,
-};
-use prognosticator_txir::{Key, Program, Value};
+use prognosticator_storage::{EpochStore, LatencyConfig};
+use prognosticator_symexec::{fingerprint_inputs, SpecializationSet, TxClass};
+use prognosticator_txir::{Key, Value};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -346,52 +349,22 @@ impl BatchOutcome {
     }
 }
 
-const ACTION_CONTINUE: u8 = 0;
-const ACTION_DONE: u8 = 1;
-
 /// How many batches may sit in the queuer thread's channels. The
 /// pipelined executor keeps at most `depth ≤ 1` in flight, so this never
 /// blocks a sender; the headroom only decouples teardown ordering.
 const QUEUER_CHANNEL_CAP: usize = 2;
 
-/// Mutable per-transaction state, merged behind one lock so a slot costs
-/// a single mutex acquisition wherever prediction/output/verdict are
-/// touched together.
-#[derive(Default)]
-struct SlotState {
-    prediction: Option<Prediction>,
-    output: Option<Vec<Value>>,
-    /// Set (once) when the transaction is deterministically aborted; the
-    /// slot then takes no further part in the batch.
-    aborted: Option<AbortReason>,
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
 }
 
+/// One transaction of a batch in flight: the classified transaction plus
+/// its mutable state behind one lock. A slot is only ever touched by one
+/// thread at a time (its preparer, its executor, or the queuer between
+/// barriers), so the lock is uncontended.
 struct TxSlot {
-    req: TxRequest,
-    class: TxClass,
-    program: Arc<Program>,
-    profile: Option<Arc<Profile>>,
-    /// Table-granularity scope (NODO) computed at classification.
-    table_scope: Option<AccessScope>,
-    state: Mutex<SlotState>,
-    finished_ns: AtomicU64,
-    first_fail_ns: AtomicU64,
-    aborts: AtomicU32,
-    /// Specialization + adaptation bookkeeping, aggregated into
-    /// [`BatchOutcome`] (all deterministic; see the field docs there).
-    spec_cache_hit: AtomicBool,
-    spec_narrowed: AtomicU64,
-    predicted_keys: AtomicU64,
-    observed_keys: AtomicU64,
-    false_locked: AtomicU64,
-}
-
-/// Records a deterministic abort for `slot` (first reason wins).
-fn record_abort(slot: &TxSlot, reason: AbortReason) {
-    let mut state = slot.state.lock();
-    if state.aborted.is_none() {
-        state.aborted = Some(reason);
-    }
+    tx: Tx,
+    state: Mutex<TxState>,
 }
 
 /// A classified batch, ready to execute: the output of [`Engine::prepare`]
@@ -437,6 +410,21 @@ impl std::fmt::Debug for PreparedBatch {
     }
 }
 
+/// The observation and fault-injection hooks a batch runs under. The
+/// engine holds one shared value, replaced whole by the setters and
+/// snapshotted once per batch, so a batch sees one consistent set and the
+/// hot path reads no lock. Detached hooks cost one branch at each site.
+#[derive(Clone, Default)]
+struct BatchHooks {
+    /// Flight recorder; events carry only logical coordinates.
+    recorder: Option<Arc<FlightRecorder>>,
+    /// Adaptation sink fed execute-path observations.
+    adapt: Option<Arc<dyn AdaptSink>>,
+    /// Seeded fault-injection plan.
+    faults: Option<FaultPlan>,
+}
+
+/// What the queuer shares with the workers for one batch.
 struct BatchWork {
     slots: Vec<TxSlot>,
     rot_queues: Vec<SegQueue<TxIdx>>,
@@ -448,38 +436,28 @@ struct BatchWork {
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
-    action: AtomicU8,
+    /// Published before barrier (4): no further round follows.
+    done: AtomicBool,
     /// Epoch DT preparation reads from in round 1.
     prepare_epoch: u64,
     /// Epoch ROTs read from.
     snapshot_epoch: u64,
     /// Round ≥ 2 preparation reads live state instead.
     prepare_live: AtomicBool,
-    parallel_prepare: bool,
-    prepare_mode: PrepareMode,
     batch_start: Instant,
     prepare_ns: AtomicU64,
     prepare_count: AtomicU64,
-    /// Fault-injection plan for this batch, if any.
-    fault_plan: Option<Arc<FaultPlan>>,
     /// This batch's index in the replica's lifetime (the fault plan's
     /// batch coordinate).
     batch_index: u64,
-    /// Ready-transaction selection policy for the update phase.
-    ready_policy: Arc<dyn ReadyPolicy>,
     /// Specialization set this batch was classified under.
     specs: Arc<SpecializationSet>,
-    /// Adaptation sink, if one is attached (snapshot, like `recorder`).
-    adapt: Option<Arc<dyn AdaptSink>>,
+    hooks: Arc<BatchHooks>,
     /// Union over rounds of lock-contended keys, collected at freeze time
     /// only while an adaptation sink is attached — the "contended" leg of
     /// false-conflict attribution. Derived from the frozen lock tables,
     /// so deterministic.
     contended: RwLock<HashSet<Key>>,
-    /// Flight recorder, if one is attached to the engine. Events carry
-    /// only logical coordinates; when detached/disabled the record sites
-    /// cost one branch (plus one relaxed load inside the recorder).
-    recorder: Option<Arc<FlightRecorder>>,
     /// Worker wait episodes (executing → spinning transitions) during the
     /// update phase. Wall-clock-dependent; metrics only.
     lock_waits: AtomicU64,
@@ -498,14 +476,54 @@ struct BatchWork {
     fatal_msg: Mutex<Option<String>>,
 }
 
-/// Best-effort extraction of a panic payload's message: `panic!("{}", x)`
-/// carries a `String`, `panic!("literal")` a `&'static str`.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "worker panicked".to_string())
+impl BatchWork {
+    fn now_ns(&self) -> u64 {
+        elapsed_ns(self.batch_start)
+    }
+
+    /// Whether the current round's update phase is over (or the batch is
+    /// winding down after a fatal error).
+    fn round_over(&self) -> bool {
+        self.completed.load(Ordering::Acquire) >= self.round_total.load(Ordering::Acquire)
+            || self.fatal.load(Ordering::Acquire)
+    }
+
+    /// Executes granted update transaction `i`, then `release`s its lock
+    /// slots — on commit, retry and abort alike — charging the time to
+    /// `shard`.
+    fn run_granted(&self, i: TxIdx, store: &EpochStore, shard: usize, release: impl FnOnce()) {
+        let (batch, tx) = (self.batch_index, u64::from(i));
+        if let Some(rec) = &self.hooks.recorder {
+            rec.record(|| Event::LockGrant { batch, tx });
+        }
+        let t_exec = Instant::now();
+        run_slot(self, i, store, RunMode::Locked);
+        release();
+        self.shard_exec_ns[shard].fetch_add(elapsed_ns(t_exec), Ordering::Relaxed);
+        if let Some(rec) = &self.hooks.recorder {
+            rec.record(|| Event::LockRelease { batch, tx });
+        }
+        self.completed.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+/// The queuer's private bookkeeping for a batch in flight. Only the
+/// queuer touches it (it alone drains the foreign-ready queues), so no
+/// atomics are needed.
+struct Rounds {
+    /// The coming round's candidates: every update transaction in round
+    /// 1 (DTs ahead of ITs, §III-C), the previous round's failures after.
+    members: Vec<TxIdx>,
+    /// This round's cross-shard members.
+    cross: Vec<TxIdx>,
+    /// Per batch position: owner shards that have not yet signalled the
+    /// transaction ready, and the ascending owner list.
+    cross_wait: Vec<u32>,
+    cross_owners: Vec<Vec<usize>>,
+    /// Per-shard queue-time accumulators (wall clock; metrics only).
+    shard_queue_ns: Vec<u64>,
+    /// The store latency to restore after a storage-spike batch.
+    prior_latency: Option<LatencyConfig>,
 }
 
 /// Runs `f`, converting a panic into the batch-fatal flag so every thread
@@ -521,13 +539,8 @@ fn run_guarded(work: &BatchWork, f: impl FnOnce()) {
     }
 }
 
-impl BatchWork {
-    fn now_ns(&self) -> u64 {
-        self.batch_start.elapsed().as_nanos() as u64
-    }
-}
-
 struct Shared {
+    config: SchedulerConfig,
     barrier: std::sync::Barrier,
     work: RwLock<Option<Arc<BatchWork>>>,
     generation: Mutex<u64>,
@@ -577,6 +590,24 @@ impl EngineMetrics {
                 .collect(),
         }
     }
+
+    fn publish(&self, outcome: &BatchOutcome) {
+        self.batches.inc();
+        self.tx_committed.add(outcome.committed as u64);
+        self.tx_aborted.add(outcome.aborted as u64);
+        self.lock_waits.add(outcome.stage.lock_waits);
+        self.false_conflicts.add(outcome.false_conflicts);
+        self.spec_cache_hits.add(outcome.spec_cache_hits);
+        self.lock_contended_keys.add(outcome.stage.lock_contended_keys);
+        self.batch_queue_us.record(outcome.stage.queue_ns / 1_000);
+        self.batch_execute_us.record(outcome.stage.execute_ns / 1_000);
+        self.single_shard_txs.add(outcome.stage.single_shard_txs);
+        self.cross_shard_txs.add(outcome.stage.cross_shard_txs);
+        for (s, st) in outcome.shard_stage.iter().enumerate() {
+            self.shard_queue_us[s].record(st.queue_ns / 1_000);
+            self.shard_execute_us[s].record(st.execute_ns / 1_000);
+        }
+    }
 }
 
 /// A stable 64-bit fingerprint of a key for flight-recorder events
@@ -596,29 +627,40 @@ fn key_fingerprint(key: &Key) -> u64 {
 /// inputs; they are replay-stable because read order is program order and
 /// the write flush is key-sorted.
 fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
-    let Some(rec) = &work.recorder else { return };
+    let Some(rec) = &work.hooks.recorder else { return };
     if !rec.is_enabled() {
         return;
     }
-    for (seq, (key, ver)) in log.reads.iter().enumerate() {
-        let (fp, ver) = (key_fingerprint(key), *ver);
-        rec.record(|| Event::TxRead {
-            batch: work.batch_index,
-            tx: u64::from(tx),
-            seq: seq as u64,
-            key: fp,
-            version: ver,
-        });
+    let (batch, tx) = (work.batch_index, u64::from(tx));
+    for (seq, (key, version)) in log.reads.iter().enumerate() {
+        let (seq, key, version) = (seq as u64, key_fingerprint(key), *version);
+        rec.record(|| Event::TxRead { batch, tx, seq, key, version });
     }
-    for (seq, (key, ver)) in log.writes.iter().enumerate() {
-        let (fp, ver) = (key_fingerprint(key), *ver);
-        rec.record(|| Event::TxWrite {
-            batch: work.batch_index,
-            tx: u64::from(tx),
-            seq: seq as u64,
-            key: fp,
-            version: ver,
-        });
+    for (seq, (key, version)) in log.writes.iter().enumerate() {
+        let (seq, key, version) = (seq as u64, key_fingerprint(key), *version);
+        rec.record(|| Event::TxWrite { batch, tx, seq, key, version });
+    }
+}
+
+/// Notes a frozen table's contended queues: into the false-conflict
+/// attribution set while an adaptation sink is attached (the waiter list
+/// names every contended queue at least once), and as `LockWait` flight
+/// events while recording.
+fn note_waiters(work: &BatchWork, table: &LockTable) {
+    if work.hooks.adapt.is_some() {
+        let mut contended = work.contended.write();
+        for (key, _, _) in table.waiters() {
+            if !contended.contains(key) {
+                contended.insert(key.clone());
+            }
+        }
+    }
+    if let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) {
+        let batch = work.batch_index;
+        for (key, tx, depth) in table.waiters() {
+            let (shard, key, tx) = (ShardRouter::fingerprint(key), key_fingerprint(key), u64::from(tx));
+            rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
+        }
     }
 }
 
@@ -639,12 +681,11 @@ struct QueuerState {
 /// ahead machinery. Execution itself is serialized by an internal lock —
 /// batches always execute one at a time, in call order.
 pub struct Engine {
-    config: SchedulerConfig,
     catalog: Arc<Catalog>,
     store: Arc<EpochStore>,
+    /// The configuration, barrier and batch hand-off shared with workers.
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    fault_plan: RwLock<Option<Arc<FaultPlan>>>,
     batches_executed: AtomicU64,
     /// Serializes [`Engine::execute`] calls.
     exec_lock: Mutex<()>,
@@ -654,19 +695,11 @@ pub struct Engine {
     builders: Mutex<Vec<LockTableBuilder>>,
     /// Key → shard routing oracle over the configured shard count.
     router: ShardRouter,
-    /// Per-shard GC watermarks: history is reclaimed only below the
-    /// minimum epoch every shard has reported finished. Under the global
-    /// batch barrier all shards report in lockstep, so the floor tracks
-    /// the common epoch — the watermark states the per-shard GC contract
-    /// explicitly rather than leaving it implied by the barrier.
-    gc_watermarks: ShardWatermarks,
     queuer: Mutex<QueuerState>,
     /// Registry handles (see [`EngineMetrics`]).
     metrics: EngineMetrics,
-    /// Flight recorder attached via [`Engine::set_recorder`].
-    recorder: RwLock<Option<Arc<FlightRecorder>>>,
-    /// Adaptation sink attached via [`Engine::set_adapt_sink`].
-    adapt_sink: RwLock<Option<Arc<dyn AdaptSink>>>,
+    /// Recorder, adaptation sink and fault plan (see [`BatchHooks`]).
+    hooks: RwLock<Arc<BatchHooks>>,
     /// The installed specialization set. Shared (via `Arc`) with the
     /// prepare-ahead queuer thread, which snapshots it per batch.
     specializations: Arc<RwLock<Arc<SpecializationSet>>>,
@@ -675,7 +708,7 @@ pub struct Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("config", &self.config)
+            .field("config", &self.shared.config)
             .field("workers", &self.handles.lock().len())
             .finish_non_exhaustive()
     }
@@ -689,15 +722,17 @@ impl Engine {
     pub fn new(config: SchedulerConfig, catalog: Arc<Catalog>, store: Arc<EpochStore>) -> Self {
         assert!(config.workers > 0, "at least one worker thread is required");
         let router = ShardRouter::new(config.shards);
+        let workers = config.workers;
         let shared = Arc::new(Shared {
-            barrier: std::sync::Barrier::new(config.workers + 1),
+            config,
+            barrier: std::sync::Barrier::new(workers + 1),
             work: RwLock::new(None),
             generation: Mutex::new(0),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let mut handles = Vec::with_capacity(config.workers);
-        for worker_id in 0..config.workers {
+        let mut handles = Vec::with_capacity(workers);
+        for worker_id in 0..workers {
             let shared = Arc::clone(&shared);
             let store = Arc::clone(&store);
             let handle = std::thread::Builder::new()
@@ -707,23 +742,19 @@ impl Engine {
             handles.push(handle);
         }
         Engine {
-            config,
             catalog,
             store,
             shared,
             handles: Mutex::new(handles),
-            fault_plan: RwLock::new(None),
             batches_executed: AtomicU64::new(0),
             exec_lock: Mutex::new(()),
             builders: Mutex::new(
                 (0..router.shards()).map(|s| LockTableBuilder::with_shard(s as u32)).collect(),
             ),
             router,
-            gc_watermarks: ShardWatermarks::new(router.shards()),
             queuer: Mutex::new(QueuerState::default()),
             metrics: EngineMetrics::new(router.shards()),
-            recorder: RwLock::new(None),
-            adapt_sink: RwLock::new(None),
+            hooks: RwLock::new(Arc::default()),
             specializations: Arc::new(RwLock::new(Arc::new(SpecializationSet::empty()))),
         }
     }
@@ -733,27 +764,31 @@ impl Engine {
         self.router
     }
 
+    /// Replaces the hook set with an edited copy; batches started from
+    /// now on snapshot the new value.
+    fn update_hooks(&self, edit: impl FnOnce(&mut BatchHooks)) {
+        let mut slot = self.hooks.write();
+        let mut hooks = BatchHooks::clone(&slot);
+        edit(&mut hooks);
+        *slot = Arc::new(hooks);
+    }
+
     /// Attaches (or detaches) a flight recorder. Subsequent batches emit
     /// structured events into it; recording never changes outcomes.
     pub fn set_recorder(&self, recorder: Option<Arc<FlightRecorder>>) {
-        *self.recorder.write() = recorder;
+        self.update_hooks(|hooks| hooks.recorder = recorder);
     }
 
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.recorder.read().clone()
+        self.hooks.read().recorder.clone()
     }
 
     /// Attaches (or detaches) an adaptation sink. Subsequent batches feed
     /// it execute-path observations ([`TxObservation`]); observing never
     /// changes outcomes.
     pub fn set_adapt_sink(&self, sink: Option<Arc<dyn AdaptSink>>) {
-        *self.adapt_sink.write() = sink;
-    }
-
-    /// The attached adaptation sink, if any.
-    pub fn adapt_sink(&self) -> Option<Arc<dyn AdaptSink>> {
-        self.adapt_sink.read().clone()
+        self.update_hooks(|hooks| hooks.adapt = sink);
     }
 
     /// Installs a specialization set; batches classified from now on
@@ -781,7 +816,7 @@ impl Engine {
     /// transaction [`TxOutcome::Aborted`] verdicts; storage latency spikes
     /// perturb timing only.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.fault_plan.write() = plan.map(Arc::new);
+        self.update_hooks(|hooks| hooks.faults = plan);
     }
 
     /// Batches executed so far — the fault plan's batch coordinate for
@@ -792,7 +827,7 @@ impl Engine {
 
     /// The engine's configuration.
     pub fn config(&self) -> &SchedulerConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// The underlying store.
@@ -814,7 +849,8 @@ impl Engine {
     /// outcome.
     pub fn prepare(&self, batch: Vec<TxRequest>) -> PreparedBatch {
         let specs = self.specializations.read().clone();
-        prepare_batch(self.config.granularity, self.config.prepare, &self.catalog, specs, batch)
+        let config = self.config();
+        prepare_batch(config.granularity, config.prepare, &self.catalog, specs, batch)
     }
 
     /// Hands `batch` to the dedicated queuer thread for classification.
@@ -829,8 +865,8 @@ impl Engine {
                 let (done_tx, done_rx) =
                     mpsc::sync_channel::<Result<PreparedBatch, String>>(QUEUER_CHANNEL_CAP);
                 let catalog = Arc::clone(&self.catalog);
-                let granularity = self.config.granularity;
-                let mode = self.config.prepare;
+                let granularity = self.config().granularity;
+                let mode = self.config().prepare;
                 let specializations = Arc::clone(&self.specializations);
                 // The thread owns only what classification needs — no
                 // engine reference, so engine teardown can never race it.
@@ -906,80 +942,95 @@ impl Engine {
     /// Executes a prepared batch to completion and commits its epoch. The
     /// calling thread acts as the queuer. Concurrent callers are
     /// serialized; batches commit in call order.
+    ///
+    /// The paper's algorithm, one phase function per step; the workers
+    /// meet the queuer at four barriers per round.
     pub fn execute(&self, prepared: PreparedBatch) -> BatchOutcome {
         let _exec = self.exec_lock.lock();
-        let trace = std::env::var_os("PROGNOSTICATOR_PHASE_TRACE").is_some();
-        let mut t_mark = Instant::now();
-        let mut mark = move |label: &str| {
-            if trace {
-                eprintln!("[phase] {label}: {:?}", t_mark.elapsed());
-            }
-            t_mark = Instant::now();
+        let mut builders = self.builders.lock();
+        let fresh_queues = |builders: &[LockTableBuilder]| -> u64 {
+            builders.iter().map(|b| b.stats().fresh_queues).sum()
         };
+        let fresh_queues_before = fresh_queues(&builders);
+        let (work, mut rounds, mut outcome) = self.begin_batch(prepared);
+        loop {
+            outcome.rounds += 1;
+            let round_start = Instant::now();
+            let tables = self.build_round(&work, &mut rounds, &mut builders, &mut outcome);
+            outcome.stage.queue_ns += elapsed_ns(round_start);
+            let update_start = Instant::now();
+            self.run_exchange(&work, &mut rounds, &tables);
+            let done = self.finish_round(&work, &mut rounds, tables, &mut builders, &mut outcome);
+            outcome.stage.execute_ns += elapsed_ns(update_start);
+            if done {
+                break;
+            }
+        }
+        outcome.stage.lock_fresh_allocs = fresh_queues(&builders) - fresh_queues_before;
+        drop(builders);
+        self.commit_epoch(&work, &rounds, &mut outcome);
+        self.assemble_outcome(&work, &rounds, &mut outcome);
+        self.metrics.publish(&outcome);
+        if let Some(sink) = &work.hooks.adapt {
+            sink.observe_batch(work.batch_index);
+        }
+        outcome
+    }
+
+    /// Snapshots the hooks and epochs, applies a storage spike, hands the
+    /// ROTs and dependent transactions to the pool and wakes it.
+    fn begin_batch(&self, prepared: PreparedBatch) -> (Arc<BatchWork>, Rounds, BatchOutcome) {
         let batch_start = Instant::now();
         let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, specs } = prepared;
         let batch_size = slots.len();
         let batch_index = self.batches_executed.fetch_add(1, Ordering::AcqRel);
-        let fault_plan = self.fault_plan.read().clone();
+        let hooks = Arc::clone(&self.hooks.read());
         // Storage latency spike: raise the store's injected latency for
         // this batch only. Timing-only — state and outcomes are unchanged.
-        let prior_latency = fault_plan.as_ref().and_then(|plan| {
-            plan.storage_spike(batch_index).map(|spike| {
-                let prior = self.store.latency();
-                self.store.set_latency(LatencyConfig::symmetric(spike));
-                prior
-            })
+        let spike = hooks.faults.as_ref().and_then(|plan| plan.storage_spike(batch_index));
+        let prior_latency = spike.map(|spike| {
+            let prior = self.store.latency();
+            self.store.set_latency(LatencyConfig::symmetric(spike));
+            prior
         });
-        let current = self.store.current_epoch();
-        let snapshot_epoch = current - 1;
-        let prepare_epoch = snapshot_epoch.saturating_sub(self.config.prepare_staleness);
-
+        let config = self.config();
+        let shards = self.router.shards();
+        let snapshot_epoch = self.store.current_epoch() - 1;
         let work = Arc::new(BatchWork {
             slots,
-            rot_queues: (0..self.config.workers).map(|_| SegQueue::new()).collect(),
+            rot_queues: (0..config.workers).map(|_| SegQueue::new()).collect(),
             prepare_queue: SegQueue::new(),
             lock_tables: RwLock::new(Vec::new()),
             round_total: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             failed: Mutex::new(Vec::new()),
-            action: AtomicU8::new(ACTION_CONTINUE),
-            prepare_epoch,
+            done: AtomicBool::new(false),
+            prepare_epoch: snapshot_epoch.saturating_sub(config.prepare_staleness),
             snapshot_epoch,
             prepare_live: AtomicBool::new(false),
-            parallel_prepare: self.config.parallel_prepare,
-            prepare_mode: self.config.prepare,
             batch_start,
             prepare_ns: AtomicU64::new(0),
             prepare_count: AtomicU64::new(0),
-            fault_plan,
             batch_index,
-            ready_policy: Arc::clone(&self.config.ready_policy),
             specs,
-            adapt: self.adapt_sink.read().clone(),
+            hooks,
             contended: RwLock::new(HashSet::new()),
-            recorder: self.recorder.read().clone(),
             lock_waits: AtomicU64::new(0),
-            shard_exec_ns: (0..self.router.shards()).map(|_| AtomicU64::new(0)).collect(),
+            shard_exec_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             fatal: AtomicBool::new(false),
             fatal_msg: Mutex::new(None),
         });
-        if let Some(rec) = &work.recorder {
-            rec.record(|| Event::BatchStart {
-                batch: batch_index,
-                txs: batch_size as u64,
-            });
+        if let Some(rec) = &work.hooks.recorder {
+            rec.record(|| Event::BatchStart { batch: batch_index, txs: batch_size as u64 });
         }
-
-        mark("classify");
-        // Distribute ROTs round-robin over the per-worker queues.
+        // ROTs round-robin over the per-worker queues; dependent
+        // transactions need preparation.
         for (n, &i) in rot_idxs.iter().enumerate() {
-            work.rot_queues[n % self.config.workers].push(i);
+            work.rot_queues[n % config.workers].push(i);
         }
-        // Dependent transactions need preparation.
         for &i in &dt_idxs {
             work.prepare_queue.push(i);
         }
-
         // Publish the batch and wake the pool.
         *self.shared.work.write() = Some(Arc::clone(&work));
         {
@@ -987,265 +1038,203 @@ impl Engine {
             *generation += 1;
             self.shared.wake.notify_all();
         }
+        let rounds = Rounds {
+            members: dt_idxs.into_iter().chain(it_idxs).collect(),
+            cross: Vec::new(),
+            cross_wait: vec![0; batch_size],
+            cross_owners: vec![Vec::new(); batch_size],
+            shard_queue_ns: vec![0; shards],
+            prior_latency,
+        };
+        let stage = StageTimings { predict_ns, ..StageTimings::default() };
+        (work, rounds, BatchOutcome { batch_size, stage, ..BatchOutcome::default() })
+    }
 
-        // --- Rounds ---
-        let mut outcome = BatchOutcome { batch_size, ..BatchOutcome::default() };
-        outcome.stage.predict_ns = predict_ns;
-        let shards = self.router.shards();
-        let mut builders = self.builders.lock();
-        let fresh_queues_before: u64 = builders.iter().map(|b| b.stats().fresh_queues).sum();
-        let mut round_members: Vec<TxIdx> = Vec::new(); // set in each round
-        let mut first_round = true;
-        // Per-shard queue-time accumulators (wall clock; metrics only).
-        let mut shard_queue_ns = vec![0u64; shards];
-        // Queuer-local cross-shard bookkeeping, indexed by batch position:
-        // how many owner shards have not yet signalled readiness, and the
-        // ascending owner list. Only the queuer drains the foreign-ready
-        // queues, so no atomics are needed.
-        let mut cross_wait = vec![0u32; batch_size];
-        let mut cross_owners: Vec<Vec<usize>> = vec![Vec::new(); batch_size];
-        loop {
-            outcome.rounds += 1;
-            let round_start = Instant::now();
-            // Phase 1: the queuer always helps preparing (in 1Q mode it is
-            // the only preparer: workers skip the queue).
-            run_guarded(&work, || {
-                while let Some(i) = work.prepare_queue.pop() {
-                    prepare_slot(&work, i, &self.store);
-                }
-            });
-            mark("prepare");
-            self.shared.barrier.wait(); // (1) prepare done
+    /// Phases 1–2: help prepare, then route every member by its predicted
+    /// key-set, enqueue it and freeze one lock table per shard.
+    fn build_round(
+        &self,
+        work: &BatchWork,
+        rounds: &mut Rounds,
+        builders: &mut [LockTableBuilder],
+        outcome: &mut BatchOutcome,
+    ) -> Vec<Arc<LockTable>> {
+        // The queuer always helps preparing (in 1Q mode it is the only
+        // preparer: workers skip the queue).
+        run_guarded(work, || {
+            while let Some(i) = work.prepare_queue.pop() {
+                prepare_slot(work, i, &self.store, self.config().prepare);
+            }
+        });
+        self.shared.barrier.wait(); // (1) prepare done
 
-            // Phase 2: build the lock table — DTs ahead of ITs (§III-C).
-            // Slots aborted during preparation carry no prediction and
-            // their verdict is already final, so they are excluded here;
-            // the exclusion is deterministic because abort decisions are.
-            let members: Vec<TxIdx> = if first_round {
-                dt_idxs.iter().chain(it_idxs.iter()).copied().collect()
+        // Slots aborted during preparation carry no prediction and their
+        // verdict is already final, so they are excluded here; the
+        // exclusion is deterministic because abort decisions are.
+        rounds.members.retain(|&i| work.slots[i as usize].state.lock().aborted.is_none());
+        // Single-shard transactions enqueue locally on their owner;
+        // cross-shard ones enqueue a foreign subset on every owner and
+        // are resolved by the exchange. Routes are recomputed every
+        // round: failed transactions re-prepare against live state and
+        // may predict a different key-set.
+        rounds.cross.clear();
+        for &i in &rounds.members {
+            let slot = &work.slots[i as usize];
+            let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
+            let t_enq = Instant::now();
+            let mut parts = self.router.partition(keys);
+            let home = if parts.len() <= 1 {
+                let (s, sub) = parts.pop().unwrap_or((0, Vec::new()));
+                builders[s].enqueue(i, sub);
+                outcome.stage.single_shard_txs += 1;
+                s
             } else {
-                round_members.clone()
+                rounds.cross_wait[i as usize] = parts.len() as u32;
+                rounds.cross_owners[i as usize] = parts.iter().map(|(s, _)| *s).collect();
+                let home = parts[0].0;
+                for (s, sub) in parts {
+                    builders[s].enqueue_foreign(i, sub);
+                }
+                rounds.cross.push(i);
+                outcome.stage.cross_shard_txs += 1;
+                home
             };
-            let members: Vec<TxIdx> = members
-                .into_iter()
-                .filter(|&i| work.slots[i as usize].state.lock().aborted.is_none())
-                .collect();
-            // Route each member by its predicted key-set. Single-shard
-            // transactions enqueue locally on their owner; cross-shard
-            // ones enqueue a foreign subset on every owner and are
-            // resolved by the exchange loop below. Routes are recomputed
-            // every round: failed transactions re-prepare against live
-            // state and may predict a different key-set.
-            let mut round_cross: Vec<TxIdx> = Vec::new();
-            for &i in &members {
-                let keys = lock_keys(&work.slots[i as usize]);
-                let t_enq = Instant::now();
-                let mut parts = self.router.partition(keys);
-                if parts.len() <= 1 {
-                    let (s, sub) = parts.pop().unwrap_or((0, Vec::new()));
-                    builders[s].enqueue(i, sub);
-                    outcome.stage.single_shard_txs += 1;
-                    shard_queue_ns[s] += t_enq.elapsed().as_nanos() as u64;
-                } else {
-                    let home = parts[0].0;
-                    cross_wait[i as usize] = parts.len() as u32;
-                    cross_owners[i as usize] = parts.iter().map(|(s, _)| *s).collect();
-                    for (s, sub) in parts {
-                        builders[s].enqueue_foreign(i, sub);
-                    }
-                    round_cross.push(i);
-                    outcome.stage.cross_shard_txs += 1;
-                    shard_queue_ns[home] += t_enq.elapsed().as_nanos() as u64;
-                }
-            }
-            let mut tables: Vec<Arc<LockTable>> = Vec::with_capacity(shards);
-            for (s, b) in builders.iter_mut().enumerate() {
-                let t_freeze = Instant::now();
-                let table = Arc::new(b.freeze(work.slots.len()));
-                shard_queue_ns[s] += t_freeze.elapsed().as_nanos() as u64;
-                outcome.stage.lock_contended_keys += table.contended_keys();
-                // Contended-key set for false-conflict attribution; the
-                // waiter list names every contended queue at least once.
-                if work.adapt.is_some() {
-                    let mut contended = work.contended.write();
-                    for (key, _, _) in table.waiters() {
-                        if !contended.contains(key) {
-                            contended.insert(key.clone());
-                        }
-                    }
-                }
-                if let Some(rec) = &work.recorder {
-                    if rec.is_enabled() {
-                        for (key, tx, depth) in table.waiters() {
-                            let shard = ShardRouter::fingerprint(key);
-                            let key = key_fingerprint(key);
-                            rec.record(|| Event::LockWait {
-                                batch: batch_index,
-                                tx: u64::from(tx),
-                                key,
-                                depth,
-                                shard,
-                            });
-                        }
-                    }
-                }
-                tables.push(table);
-            }
-            work.round_total.store(members.len(), Ordering::Release);
-            work.completed.store(0, Ordering::Release);
-            work.failed.lock().clear();
-            *work.lock_tables.write() = tables.clone();
-            mark("build");
-            self.shared.barrier.wait(); // (2) lock tables published
-            outcome.stage.queue_ns += round_start.elapsed().as_nanos() as u64;
+            rounds.shard_queue_ns[home] += elapsed_ns(t_enq);
+        }
+        let mut tables: Vec<Arc<LockTable>> = Vec::with_capacity(builders.len());
+        for (s, b) in builders.iter_mut().enumerate() {
+            let t_freeze = Instant::now();
+            let table = Arc::new(b.freeze(work.slots.len()));
+            rounds.shard_queue_ns[s] += elapsed_ns(t_freeze);
+            outcome.stage.lock_contended_keys += table.contended_keys();
+            note_waiters(work, &table);
+            tables.push(table);
+        }
+        work.round_total.store(rounds.members.len(), Ordering::Release);
+        work.completed.store(0, Ordering::Release);
+        work.failed.lock().clear();
+        *work.lock_tables.write() = tables.clone();
+        self.shared.barrier.wait(); // (2) lock tables published
+        tables
+    }
 
-            // Phase 3: workers execute single-shard transactions; the
-            // queuer resolves cross-shard ones with a deterministic
-            // exchange. A cross-shard transaction becomes executable only
-            // once every owner shard has signalled it ready (it is at the
-            // head of all its per-key queues — exactly the global
-            // lock-order condition), and ready cross-shard transactions
-            // execute in ascending batch position with slots released in
-            // ascending shard order: a fixed shard-major merge, so the
-            // committed outcome is a pure function of the batch, never of
-            // worker interleaving or shard count.
-            let update_start = Instant::now();
-            if !round_cross.is_empty() {
-                run_guarded(&work, || {
-                    let backoff = Backoff::new();
-                    let mut ready_cross: Vec<TxIdx> = Vec::new();
-                    loop {
-                        let total = work.round_total.load(Ordering::Acquire);
-                        if work.completed.load(Ordering::Acquire) >= total
-                            || work.fatal.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        let mut progress = false;
-                        for table in &tables {
-                            while let Some(i) = table.pop_foreign_ready() {
-                                progress = true;
-                                cross_wait[i as usize] -= 1;
-                                if cross_wait[i as usize] == 0 {
-                                    ready_cross.push(i);
-                                }
+    /// Phase 3, queuer side: workers execute single-shard transactions;
+    /// the queuer resolves cross-shard ones with a deterministic
+    /// exchange. A cross-shard transaction becomes executable only once
+    /// every owner shard has signalled it ready (it is at the head of all
+    /// its per-key queues — exactly the global lock-order condition), and
+    /// ready cross-shard transactions execute in ascending batch position
+    /// with slots released in ascending shard order: a fixed shard-major
+    /// merge, so the committed outcome is a pure function of the batch,
+    /// never of worker interleaving or shard count.
+    fn run_exchange(&self, work: &BatchWork, rounds: &mut Rounds, tables: &[Arc<LockTable>]) {
+        if !rounds.cross.is_empty() {
+            run_guarded(work, || {
+                let backoff = Backoff::new();
+                let mut ready_cross: Vec<TxIdx> = Vec::new();
+                while !work.round_over() {
+                    let mut progress = false;
+                    for table in tables {
+                        while let Some(i) = table.pop_foreign_ready() {
+                            progress = true;
+                            rounds.cross_wait[i as usize] -= 1;
+                            if rounds.cross_wait[i as usize] == 0 {
+                                ready_cross.push(i);
                             }
                         }
-                        if ready_cross.is_empty() {
-                            if !progress {
-                                backoff.spin();
-                            }
-                            continue;
+                    }
+                    if ready_cross.is_empty() {
+                        if !progress {
+                            backoff.spin();
                         }
-                        backoff.reset();
-                        ready_cross.sort_unstable();
-                        for i in ready_cross.drain(..) {
-                            if let Some(rec) = &work.recorder {
-                                rec.record(|| Event::LockGrant {
-                                    batch: work.batch_index,
-                                    tx: u64::from(i),
-                                });
-                            }
-                            let t_exec = Instant::now();
-                            execute_update_slot(&work, i, &self.store);
-                            let owners = &cross_owners[i as usize];
+                        continue;
+                    }
+                    backoff.reset();
+                    ready_cross.sort_unstable();
+                    for i in ready_cross.drain(..) {
+                        let owners = &rounds.cross_owners[i as usize];
+                        work.run_granted(i, &self.store, owners[0], || {
                             for &s in owners {
                                 tables[s].release(i);
                             }
-                            work.shard_exec_ns[owners[0]]
-                                .fetch_add(t_exec.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            if let Some(rec) = &work.recorder {
-                                rec.record(|| Event::LockRelease {
-                                    batch: work.batch_index,
-                                    tx: u64::from(i),
-                                });
-                            }
-                            work.completed.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
-                });
-            }
-            self.shared.barrier.wait(); // (3) update phase done
-            mark("update");
-            // Workers dropped their table references before barrier (3);
-            // reclaim each round's buffers for the next build, per shard.
-            // (Under a batch-fatal wind-down a worker may have bailed out
-            // early and still hold a reference — then the unwrap fails and
-            // that table is simply dropped.)
-            drop(tables);
-            for table in work.lock_tables.write().drain(..) {
-                if let Ok(table) = Arc::try_unwrap(table) {
-                    builders[table.shard() as usize].recycle(table);
-                }
-            }
-
-            // Phase 4: failed handling.
-            let mut failed = std::mem::take(&mut *work.failed.lock());
-            failed.sort_unstable();
-            outcome.aborts += failed.len();
-            for &i in &failed {
-                let slot = &work.slots[i as usize];
-                slot.first_fail_ns
-                    .compare_exchange(0, work.now_ns().max(1), Ordering::AcqRel, Ordering::Acquire)
-                    .ok();
-            }
-
-            let fall_back_to_serial = outcome.rounds >= self.config.max_rounds;
-            if failed.is_empty() {
-                work.action.store(ACTION_DONE, Ordering::Release);
-            } else {
-                match self.config.failed {
-                    FailedPolicy::SingleThread => {
-                        run_guarded(&work, || self.reexecute_serially(&work, &failed));
-                        work.action.store(ACTION_DONE, Ordering::Release);
-                    }
-                    FailedPolicy::Reenqueue if !fall_back_to_serial => {
-                        // Deterministic re-prepare against the live state.
-                        work.prepare_live.store(true, Ordering::Release);
-                        for &i in &failed {
-                            work.slots[i as usize].state.lock().prediction = None;
-                            work.prepare_queue.push(i);
-                        }
-                        round_members = failed;
-                        work.action.store(ACTION_CONTINUE, Ordering::Release);
-                    }
-                    FailedPolicy::Reenqueue => {
-                        run_guarded(&work, || self.reexecute_serially(&work, &failed));
-                        work.action.store(ACTION_DONE, Ordering::Release);
-                    }
-                    FailedPolicy::NextBatch => {
-                        for &i in &failed {
-                            outcome.carried_over.push(work.slots[i as usize].req.clone());
-                        }
-                        work.action.store(ACTION_DONE, Ordering::Release);
+                        });
                     }
                 }
-            }
-            if work.fatal.load(Ordering::Acquire) {
-                work.action.store(ACTION_DONE, Ordering::Release);
-            }
-            self.shared.barrier.wait(); // (4) action published
-            outcome.stage.execute_ns += update_start.elapsed().as_nanos() as u64;
-            mark("failed-handling");
-            first_round = false;
-            if work.action.load(Ordering::Acquire) == ACTION_DONE {
-                break;
+            });
+        }
+        self.shared.barrier.wait(); // (3) update phase done
+    }
+
+    /// Phase 4: recycle the round's tables, then enact the failed-
+    /// transaction policy. Returns whether the batch is done.
+    fn finish_round(
+        &self,
+        work: &BatchWork,
+        rounds: &mut Rounds,
+        tables: Vec<Arc<LockTable>>,
+        builders: &mut [LockTableBuilder],
+        outcome: &mut BatchOutcome,
+    ) -> bool {
+        // Workers dropped their table references before barrier (3);
+        // reclaim each round's buffers for the next build, per shard.
+        // (Under a batch-fatal wind-down a worker may have bailed out
+        // early and still hold a reference — then the unwrap fails and
+        // that table is simply dropped.)
+        drop(tables);
+        for table in work.lock_tables.write().drain(..) {
+            if let Ok(table) = Arc::try_unwrap(table) {
+                builders[table.shard() as usize].recycle(table);
             }
         }
-        let fresh_queues_after: u64 = builders.iter().map(|b| b.stats().fresh_queues).sum();
-        outcome.stage.lock_fresh_allocs = fresh_queues_after - fresh_queues_before;
-        outcome.stage.lock_waits = work.lock_waits.load(Ordering::Acquire);
-        drop(builders);
-        outcome.shard_stage = (0..shards)
-            .map(|s| ShardStageTimings {
-                queue_ns: shard_queue_ns[s],
-                execute_ns: work.shard_exec_ns[s].load(Ordering::Acquire),
-            })
-            .collect();
 
-        // Retire the batch.
+        let mut failed = std::mem::take(&mut *work.failed.lock());
+        failed.sort_unstable();
+        outcome.aborts += failed.len();
+        let now = work.now_ns().max(1);
+        for &i in &failed {
+            let mut state = work.slots[i as usize].state.lock();
+            if state.first_fail_ns == 0 {
+                state.first_fail_ns = now;
+            }
+        }
+        let config = self.config();
+        let action =
+            sched::after_round(config.failed, outcome.rounds, config.max_rounds, !failed.is_empty());
+        match action {
+            RoundAction::Done => {}
+            // The workers are idle at the barrier, so the queuer running
+            // the failed transactions in client order is trivially
+            // deterministic.
+            RoundAction::Serial => run_guarded(work, || {
+                for &i in &failed {
+                    run_slot(work, i, &self.store, RunMode::Serial);
+                }
+            }),
+            // Deterministic re-prepare against the live state.
+            RoundAction::Reenqueue => {
+                work.prepare_live.store(true, Ordering::Release);
+                for &i in &failed {
+                    work.slots[i as usize].state.lock().prediction = None;
+                    work.prepare_queue.push(i);
+                }
+                rounds.members = failed;
+            }
+            RoundAction::CarryOver => {
+                let handed_back = failed.iter().map(|&i| work.slots[i as usize].tx.req.clone());
+                outcome.carried_over.extend(handed_back);
+            }
+        }
+        let done = action != RoundAction::Reenqueue || work.fatal.load(Ordering::Acquire);
+        work.done.store(done, Ordering::Release);
+        self.shared.barrier.wait(); // (4) action published
+        done
+    }
+
+    /// Retires the batch from the pool, re-raises a batch-fatal panic,
+    /// then advances the epoch and garbage-collects history.
+    fn commit_epoch(&self, work: &BatchWork, rounds: &Rounds, outcome: &mut BatchOutcome) {
         *self.shared.work.write() = None;
-        if let Some(prior) = prior_latency {
+        if let Some(prior) = rounds.prior_latency {
             self.store.set_latency(prior);
         }
         if work.fatal.load(Ordering::Acquire) {
@@ -1254,133 +1243,51 @@ impl Engine {
         }
         let commit_start = Instant::now();
         self.store.advance_epoch();
-        if let Some(keep) = self.config.gc_keep_epochs {
+        let config = self.config();
+        if let Some(keep) = config.gc_keep_epochs {
             debug_assert!(
-                keep > self.config.prepare_staleness,
+                keep > config.prepare_staleness,
                 "GC window must retain the preparation snapshots"
             );
-            // Every shard crossed the batch barrier, so each reports the
-            // same retirement epoch; the floor only lags if a shard does.
-            let retire = self.store.current_epoch().saturating_sub(keep);
-            for s in 0..shards {
-                self.gc_watermarks.report(s, retire);
-            }
-            self.store.gc_before(self.gc_watermarks.floor());
+            // Every shard crossed the batch barrier, so one retirement
+            // epoch holds for all of them.
+            self.store.gc_before(self.store.current_epoch().saturating_sub(keep));
         }
-        outcome.stage.commit_ns = commit_start.elapsed().as_nanos() as u64;
+        outcome.stage.commit_ns = elapsed_ns(commit_start);
+    }
 
-        // --- Metrics --- (carried-over slots never set `finished_ns`,
-        // aborted slots never do either: the three states are disjoint)
+    /// Folds the slots into the outcome, harvests the batch's counters
+    /// and emits the per-transaction verdict events.
+    fn assemble_outcome(&self, work: &BatchWork, rounds: &Rounds, outcome: &mut BatchOutcome) {
         let apply_start = Instant::now();
+        outcome.stage.lock_waits = work.lock_waits.load(Ordering::Acquire);
+        outcome.shard_stage = (rounds.shard_queue_ns.iter().zip(&work.shard_exec_ns))
+            .map(|(&queue_ns, exec)| ShardStageTimings {
+                queue_ns,
+                execute_ns: exec.load(Ordering::Acquire),
+            })
+            .collect();
         outcome.spec_version = work.specs.version;
         for slot in &work.slots {
-            outcome.predicted_keys += slot.predicted_keys.load(Ordering::Acquire);
-            outcome.observed_keys += slot.observed_keys.load(Ordering::Acquire);
-            outcome.false_conflicts += slot.false_locked.load(Ordering::Acquire);
-            outcome.spec_cache_hits += u64::from(slot.spec_cache_hit.load(Ordering::Acquire));
-            outcome.spec_narrowed += slot.spec_narrowed.load(Ordering::Acquire);
-            let mut state = slot.state.lock();
-            outcome.outputs.push(state.output.take());
-            let finished = slot.finished_ns.load(Ordering::Acquire);
-            if let Some(reason) = state.aborted.take() {
-                debug_assert_eq!(finished, 0, "aborted slots never finish");
-                outcome.aborted += 1;
-                outcome.outcomes.push(TxOutcome::Aborted { reason });
-            } else if finished > 0 {
-                outcome.committed += 1;
-                outcome.latencies_ns.push(finished);
-                let first_fail = slot.first_fail_ns.load(Ordering::Acquire);
-                if first_fail > 0 {
-                    outcome.reexec_ns_total += finished.saturating_sub(first_fail);
-                    outcome.reexec_count += 1;
-                }
-                outcome.outcomes.push(TxOutcome::Committed);
-            } else {
-                outcome.outcomes.push(TxOutcome::CarriedOver);
-            }
+            sched::fold_tx(outcome, &mut slot.state.lock());
         }
         outcome.prepare_ns_total = work.prepare_ns.load(Ordering::Acquire);
         outcome.prepare_count = work.prepare_count.load(Ordering::Acquire);
-        outcome.stage.apply_ns = apply_start.elapsed().as_nanos() as u64;
-        outcome.duration = batch_start.elapsed();
-        if let Some(rec) = &work.recorder {
-            if rec.is_enabled() {
-                for (i, verdict) in outcome.outcomes.iter().enumerate() {
-                    let committed = matches!(verdict, TxOutcome::Committed);
-                    rec.record(|| Event::TxOutcome {
-                        batch: batch_index,
-                        tx: i as u64,
-                        committed,
-                    });
-                    if let TxOutcome::Aborted { reason: AbortReason::InjectedFault(_) } = verdict {
-                        rec.record(|| Event::FaultInjected {
-                            batch: batch_index,
-                            tx: i as u64,
-                            kind: "worker_panic".to_string(),
-                        });
-                    }
-                }
-                rec.record(|| Event::BatchEnd {
-                    batch: batch_index,
-                    committed: outcome.committed as u64,
-                    failed: outcome.aborted as u64,
-                });
+        outcome.stage.apply_ns = elapsed_ns(apply_start);
+        outcome.duration = work.batch_start.elapsed();
+        let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) else {
+            return;
+        };
+        let batch = work.batch_index;
+        for (i, verdict) in outcome.outcomes.iter().enumerate() {
+            let (tx, committed) = (i as u64, matches!(verdict, TxOutcome::Committed));
+            rec.record(|| Event::TxOutcome { batch, tx, committed });
+            if let TxOutcome::Aborted { reason: AbortReason::InjectedFault(_) } = verdict {
+                rec.record(|| Event::FaultInjected { batch, tx, kind: "worker_panic".to_string() });
             }
         }
-        self.metrics.batches.inc();
-        self.metrics.tx_committed.add(outcome.committed as u64);
-        self.metrics.tx_aborted.add(outcome.aborted as u64);
-        self.metrics.lock_waits.add(outcome.stage.lock_waits);
-        self.metrics.false_conflicts.add(outcome.false_conflicts);
-        self.metrics.spec_cache_hits.add(outcome.spec_cache_hits);
-        self.metrics
-            .lock_contended_keys
-            .add(outcome.stage.lock_contended_keys);
-        self.metrics.batch_queue_us.record(outcome.stage.queue_ns / 1_000);
-        self.metrics
-            .batch_execute_us
-            .record(outcome.stage.execute_ns / 1_000);
-        self.metrics.single_shard_txs.add(outcome.stage.single_shard_txs);
-        self.metrics.cross_shard_txs.add(outcome.stage.cross_shard_txs);
-        for (s, st) in outcome.shard_stage.iter().enumerate() {
-            self.metrics.shard_queue_us[s].record(st.queue_ns / 1_000);
-            self.metrics.shard_execute_us[s].record(st.execute_ns / 1_000);
-        }
-        if let Some(sink) = &work.adapt {
-            sink.observe_batch(batch_index);
-        }
-        outcome
-    }
-
-    /// `SF`: the queuer re-executes failed transactions sequentially in
-    /// client order. Single-threaded execution needs no locks, preparation
-    /// or validation — it simply runs the transaction logic against the
-    /// live state (paper §III-C: serial re-execution "would ensure that
-    /// these transactions would not fail again"), and is trivially
-    /// deterministic because the workers are idle at the barrier. Writes
-    /// are buffered per transaction so a workload bug aborts with no torn
-    /// writes.
-    fn reexecute_serially(&self, work: &BatchWork, failed: &[TxIdx]) {
-        for &i in failed {
-            let slot = &work.slots[i as usize];
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_live_buffered(&self.store, &slot.program, &slot.req.inputs)
-            }));
-            match result {
-                Ok(Ok(log)) => {
-                    observe_commit(work, slot, &log);
-                    record_access_log(work, i, &log);
-                    slot.finished_ns.store(work.now_ns().max(1), Ordering::Release);
-                }
-                Ok(Err(TxFailure::Eval(e))) => {
-                    record_abort(slot, AbortReason::workload(slot.program.name(), e));
-                }
-                Ok(Err(_)) => unreachable!("serial execution only fails with Eval"),
-                Err(payload) => {
-                    record_abort(slot, AbortReason::from_panic_message(panic_message(payload.as_ref())));
-                }
-            }
-        }
+        let (committed, failed) = (outcome.committed as u64, outcome.aborted as u64);
+        rec.record(|| Event::BatchEnd { batch, committed, failed });
     }
 
     /// Stops the queuer thread and the worker pool. Idempotent, and safe
@@ -1436,233 +1343,60 @@ fn prepare_batch(
     let mut dt_idxs: Vec<TxIdx> = Vec::new();
     let mut it_idxs: Vec<TxIdx> = Vec::new();
     for (i, req) in batch.into_iter().enumerate() {
-        let slot = classify_request(granularity, prepare, catalog, &specs, req);
-        match slot.class {
+        let (tx, state) = sched::classify(granularity, prepare, catalog, &specs, req);
+        match tx.class {
             TxClass::ReadOnly => rot_idxs.push(i as TxIdx),
             TxClass::Dependent => dt_idxs.push(i as TxIdx),
             TxClass::Independent => it_idxs.push(i as TxIdx),
         }
-        slots.push(slot);
+        slots.push(TxSlot { tx, state: Mutex::new(state) });
     }
-    let predict_ns = t0.elapsed().as_nanos() as u64;
+    let predict_ns = elapsed_ns(t0);
     PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, specs }
 }
 
-/// Classifies one request into a slot (instance-level: a DT program whose
-/// chosen path needs no pivots is treated as an IT instance).
-fn classify_request(
-    granularity: Granularity,
-    prepare: PrepareMode,
-    catalog: &Catalog,
-    specs: &SpecializationSet,
-    req: TxRequest,
-) -> TxSlot {
-    let entry = catalog.entry(req.program);
-    let program = Arc::clone(entry.program());
-    let profile = entry.profile().cloned();
-    let mut prediction = None;
-    let mut table_scope = None;
-    let mut narrowed = 0u64;
-    let spec = specs.for_program(program.name());
-
-    let class = match granularity {
-        Granularity::Table => {
-            // NODO: everything is an independent transaction over
-            // table-granularity conflict classes.
-            let tables: HashSet<_> = entry
-                .read_tables()
-                .iter()
-                .chain(entry.write_tables())
-                .copied()
-                .collect();
-            table_scope = Some(AccessScope::Tables(tables));
-            TxClass::Independent
-        }
-        Granularity::Key => match prepare {
-            PrepareMode::Profile => match &profile {
-                Some(p) if p.class() == TxClass::ReadOnly => TxClass::ReadOnly,
-                // Demoted template: skip per-key prediction and lock its
-                // declared tables (the NODO discipline, per program).
-                // Trivially sound — tables ⊇ keys — and never aborts.
-                Some(_) if spec.is_some_and(ProgSpecialization::demoted) => {
-                    let tables: HashSet<_> = entry
-                        .read_tables()
-                        .iter()
-                        .chain(entry.write_tables())
-                        .copied()
-                        .collect();
-                    table_scope = Some(AccessScope::Tables(tables));
-                    TxClass::Independent
-                }
-                Some(p) => match p.predict_direct(&req.inputs) {
-                    Ok(mut pred) => {
-                        if let Some(sp) = spec {
-                            narrowed = apply_narrowing(&mut pred, sp);
-                        }
-                        prediction = Some(pred);
-                        TxClass::Independent
-                    }
-                    Err(PredictError::NeedsStore) => TxClass::Dependent,
-                    Err(PredictError::Eval(e)) => {
-                        panic!("profile/input mismatch for {}: {e}", program.name())
-                    }
-                },
-                // SE was capped: reconnaissance fallback.
-                None if !entry.writes() => TxClass::ReadOnly,
-                None => TxClass::Dependent,
-            },
-            PrepareMode::Reconnaissance => {
-                if entry.writes() {
-                    TxClass::Dependent
-                } else {
-                    TxClass::ReadOnly
-                }
-            }
-        },
-    };
-    TxSlot {
-        req,
-        class,
-        program,
-        profile,
-        table_scope,
-        state: Mutex::new(SlotState { prediction, output: None, aborted: None }),
-        finished_ns: AtomicU64::new(0),
-        first_fail_ns: AtomicU64::new(0),
-        aborts: AtomicU32::new(0),
-        spec_cache_hit: AtomicBool::new(false),
-        spec_narrowed: AtomicU64::new(narrowed),
-        predicted_keys: AtomicU64::new(0),
-        observed_keys: AtomicU64::new(0),
-        false_locked: AtomicU64::new(0),
-    }
-}
-
-/// The keys to enqueue in the lock table for a slot.
-fn lock_keys(slot: &TxSlot) -> Vec<Key> {
-    match &slot.table_scope {
-        Some(AccessScope::Tables(tables)) => {
-            let mut keys: Vec<Key> = tables.iter().map(|t| Key::new(*t, Vec::new())).collect();
-            keys.sort();
-            keys
-        }
-        _ => slot
-            .state
-            .lock()
-            .prediction
-            .as_ref()
-            .expect("update transaction prepared before enqueue")
-            .key_set(),
-    }
-}
-
-/// Prepares slot `i`: fills its [`Prediction`] from the configured source.
-/// Runs on the queuer and (in `MQ` mode) on idle workers.
-fn prepare_slot(work: &BatchWork, i: TxIdx, store: &EpochStore) {
-    if work.prepare_live.load(Ordering::Acquire) {
-        prepare_slot_live(work, i, store);
-    } else {
-        prepare_slot_at(work, i, store, SnapshotKind::Epoch(work.prepare_epoch));
-    }
-}
-
-fn prepare_slot_live(work: &BatchWork, i: TxIdx, store: &EpochStore) {
-    prepare_slot_at(work, i, store, SnapshotKind::Live);
-}
-
-#[derive(Clone, Copy)]
-enum SnapshotKind {
-    Epoch(u64),
-    Live,
-}
-
-fn prepare_slot_at(work: &BatchWork, i: TxIdx, store: &EpochStore, snap: SnapshotKind) {
+/// Prepares slot `i` against the round's snapshot (the staleness-adjusted
+/// epoch in round 1, live state in retry rounds). Runs on the queuer and
+/// (in `MQ` mode) on idle workers.
+fn prepare_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: PrepareMode) {
     let t0 = Instant::now();
     let slot = &work.slots[i as usize];
-    let prediction = match work.prepare_mode {
-        PrepareMode::Profile => {
-            let profile = slot
-                .profile
-                .as_ref()
-                .filter(|p| p.class() != TxClass::ReadOnly)
-                .cloned();
-            match profile {
-                Some(profile) => {
-                    let mut resolver = |k: &Key| -> Value {
-                        let v = match snap {
-                            SnapshotKind::Epoch(e) => store.get_at(k, e),
-                            SnapshotKind::Live => store.get_latest(k),
-                        };
-                        v.unwrap_or(Value::Unit)
-                    };
-                    // Retry rounds (live re-prepare) bypass the overlay:
-                    // a narrowing-induced scope violation must recover
-                    // with the raw profile's full prediction.
-                    let spec = match snap {
-                        SnapshotKind::Live => None,
-                        SnapshotKind::Epoch(_) => work.specs.for_program(profile.program_name()),
-                    };
-                    // A prediction failure here is a catalog/profile
-                    // mismatch — fatal, not a per-transaction abort.
-                    match spec {
-                        Some(sp) => {
-                            let (pred, spec_out) = predict_specialized(
-                                &profile,
-                                &slot.req.inputs,
-                                Some(&mut resolver),
-                                sp,
-                            )
-                            .expect("profile prediction with resolver cannot need more");
-                            if spec_out.cache_hit {
-                                slot.spec_cache_hit.store(true, Ordering::Release);
-                            }
-                            slot.spec_narrowed
-                                .fetch_add(spec_out.narrowed_dropped, Ordering::Relaxed);
-                            Ok(pred)
-                        }
-                        None => Ok(profile
-                            .predict(&slot.req.inputs, Some(&mut resolver))
-                            .expect("profile prediction with resolver cannot need more")),
-                    }
-                }
-                // SE-capped program: full reconnaissance.
-                None => reconnoiter_with(store, slot, snap),
-            }
-        }
-        PrepareMode::Reconnaissance => reconnoiter_with(store, slot, snap),
+    let snapshot = if work.prepare_live.load(Ordering::Acquire) {
+        Snapshot::Live
+    } else {
+        Snapshot::Epoch(work.prepare_epoch)
     };
-    match prediction {
-        Ok(p) => slot.state.lock().prediction = Some(p),
-        // A workload bug during reconnaissance is the transaction's own
-        // deterministic failure: abort it, leave the batch healthy.
-        Err(reason) => record_abort(slot, reason),
-    }
-    work.prepare_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    sched::prepare(store, &slot.tx, &mut slot.state.lock(), mode, &work.specs, snapshot);
+    work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
     work.prepare_count.fetch_add(1, Ordering::Relaxed);
 }
 
-fn reconnoiter_with(
-    store: &EpochStore,
-    slot: &TxSlot,
-    snap: SnapshotKind,
-) -> Result<Prediction, AbortReason> {
-    let epoch = match snap {
-        SnapshotKind::Epoch(e) => e,
-        // "Live" reconnaissance reads through the latest state; since the
-        // engine only re-prepares while workers are idle, reading latest
-        // versions via a very-future epoch is equivalent and keeps the
-        // snapshot interface.
-        SnapshotKind::Live => u64::MAX,
-    };
-    match reconnoiter(store, &slot.program, &slot.req.inputs, epoch) {
-        Ok(p) => Ok(p),
-        Err(TxFailure::Eval(e)) => Err(AbortReason::workload(slot.program.name(), e)),
-        Err(_) => unreachable!("reconnoiter only fails with Eval"),
+/// Runs slot `i` through [`sched::run_tx`] and books the verdict: commit
+/// time and observations, or a place on the failed (retry) list. Aborts
+/// are recorded in the slot by the core.
+fn run_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: RunMode) {
+    let slot = &work.slots[i as usize];
+    let mut state = slot.state.lock();
+    let faults = work.hooks.faults.as_ref().map(|plan| (plan, work.batch_index, i));
+    match sched::run_tx(store, &slot.tx, &mut state, mode, faults).0 {
+        TxStatus::Committed(log) => {
+            if !matches!(mode, RunMode::Snapshot(_)) {
+                observe_commit(work, &slot.tx, &mut state, &log);
+            }
+            record_access_log(work, i, &log);
+            state.finished_ns = work.now_ns().max(1);
+        }
+        TxStatus::Retry(verdict) => {
+            observe_retry(work, &slot.tx, &state, verdict);
+            work.failed.lock().push(i);
+        }
+        TxStatus::Aborted => {}
     }
 }
 
 /// The worker thread body.
 fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
+    let config = &shared.config;
     let mut last_generation = 0u64;
     loop {
         // Wait for a new batch (or shutdown).
@@ -1685,51 +1419,11 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
             // Phase 1: ROTs (non-empty only in round 1), then help prepare.
             run_guarded(&work, || {
                 while let Some(i) = work.rot_queues[worker_id].pop() {
-                    let slot = &work.slots[i as usize];
-                    // Recovery replay: reproduce the original injected
-                    // abort without unwinding the worker again.
-                    if let Some(reason) = work
-                        .fault_plan
-                        .as_ref()
-                        .and_then(|plan| plan.replay_abort(work.batch_index, i))
-                    {
-                        record_abort(slot, reason);
-                        continue;
-                    }
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if let Some(plan) = &work.fault_plan {
-                            plan.maybe_inject_worker_panic(work.batch_index, i);
-                        }
-                        execute_read_only(
-                            store,
-                            &slot.program,
-                            &slot.req.inputs,
-                            work.snapshot_epoch,
-                        )
-                    }));
-                    match result {
-                        Ok(Ok((emitted, log))) => {
-                            let mut state = slot.state.lock();
-                            state.output = Some(emitted);
-                            drop(state);
-                            record_access_log(&work, i, &log);
-                            slot.finished_ns.store(work.now_ns().max(1), Ordering::Release);
-                        }
-                        Ok(Err(TxFailure::Eval(e))) => {
-                            record_abort(slot, AbortReason::workload(slot.program.name(), e));
-                        }
-                        Ok(Err(_)) => unreachable!("ROTs cannot fail validation"),
-                        Err(payload) => {
-                            record_abort(
-                                slot,
-                                AbortReason::from_panic_message(panic_message(payload.as_ref())),
-                            );
-                        }
-                    }
+                    run_slot(&work, i, store, RunMode::Snapshot(work.snapshot_epoch));
                 }
-                if work.parallel_prepare {
+                if config.parallel_prepare {
                     while let Some(i) = work.prepare_queue.pop() {
-                        prepare_slot(&work, i, store);
+                        prepare_slot(&work, i, store, config.prepare);
                     }
                 }
             });
@@ -1756,47 +1450,15 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
                     // a coarse contention signal rather than a spin-rate
                     // artifact. Wall-clock-dependent; metrics only.
                     let mut waiting = false;
-                    loop {
-                        let total = work.round_total.load(Ordering::Acquire);
-                        if work.completed.load(Ordering::Acquire) >= total
-                            || work.fatal.load(Ordering::Acquire)
-                        {
-                            break;
-                        }
-                        let mut popped = None;
-                        for off in 0..n {
-                            let t_idx = (worker_id + off) % n;
-                            if let Some(i) =
-                                tables[t_idx].pop_ready_with(work.ready_policy.as_ref())
-                            {
-                                popped = Some((t_idx, i));
-                                break;
-                            }
-                        }
+                    while !work.round_over() {
+                        let popped = (0..n).map(|off| (worker_id + off) % n).find_map(|t| {
+                            tables[t].pop_ready_with(config.ready_policy.as_ref()).map(|i| (t, i))
+                        });
                         match popped {
-                            Some((t_idx, i)) => {
+                            Some((t, i)) => {
                                 waiting = false;
                                 backoff.reset();
-                                if let Some(rec) = &work.recorder {
-                                    rec.record(|| Event::LockGrant {
-                                        batch: work.batch_index,
-                                        tx: u64::from(i),
-                                    });
-                                }
-                                let t_exec = Instant::now();
-                                execute_update_slot(&work, i, store);
-                                tables[t_idx].release(i);
-                                work.shard_exec_ns[t_idx].fetch_add(
-                                    t_exec.elapsed().as_nanos() as u64,
-                                    Ordering::Relaxed,
-                                );
-                                if let Some(rec) = &work.recorder {
-                                    rec.record(|| Event::LockRelease {
-                                        batch: work.batch_index,
-                                        tx: u64::from(i),
-                                    });
-                                }
-                                work.completed.fetch_add(1, Ordering::AcqRel);
+                                work.run_granted(i, store, t, || tables[t].release(i));
                             }
                             None => {
                                 if !waiting {
@@ -1814,155 +1476,64 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
             }
             shared.barrier.wait(); // (3)
             shared.barrier.wait(); // (4) action published
-            if work.action.load(Ordering::Acquire) == ACTION_DONE {
+            if work.done.load(Ordering::Acquire) {
                 break;
             }
         }
     }
 }
 
-/// Records a committed update transaction's deterministic adaptation
-/// aggregates (predicted/observed key counts, false-conflict attribution)
-/// into its slot, and — when a sink is attached — delivers the full
-/// [`TxObservation`] to it.
-fn observe_commit(work: &BatchWork, slot: &TxSlot, log: &AccessLog) {
-    let prediction = slot.state.lock().prediction.clone();
-    let mut touched: Vec<&Key> = log
-        .reads
-        .iter()
-        .map(|(k, _)| k)
-        .chain(log.writes.iter().map(|(k, _)| k))
-        .collect();
-    touched.sort();
-    touched.dedup();
-    slot.observed_keys.store(touched.len() as u64, Ordering::Release);
-    let predicted = match (&slot.table_scope, &prediction) {
+/// Delivers a committed update transaction's full [`TxObservation`] to
+/// the adaptation sink, when one is attached, and books its
+/// false-conflict count (predicted ∩ contended − touched) in the slot.
+fn observe_commit(work: &BatchWork, tx: &Tx, state: &mut TxState, log: &AccessLog) {
+    let Some(sink) = &work.hooks.adapt else { return };
+    let touched = sched::touched_keys(log);
+    let predicted = match (&tx.table_scope, &state.prediction) {
         // Table-granularity slots predict no keys.
         (None, Some(p)) => p.key_set(),
         _ => Vec::new(),
     };
-    slot.predicted_keys.store(predicted.len() as u64, Ordering::Release);
-    let Some(sink) = &work.adapt else { return };
-    let false_locked = {
+    state.false_locked = {
         let contended = work.contended.read();
         predicted
             .iter()
             .filter(|k| contended.contains(*k) && touched.binary_search(k).is_err())
             .count() as u64
     };
-    slot.false_locked.store(false_locked, Ordering::Release);
-    let pivot_count = prediction
-        .as_ref()
-        .map_or(0, |p| p.pivot_observations.len() as u64);
     sink.observe_tx(TxObservation {
-        program: slot.program.name().to_string(),
-        fingerprint: fingerprint_inputs(&slot.req.inputs),
-        inputs: slot.req.inputs.clone(),
-        verdict: ObservedVerdict::Committed,
-        predicted_keys: predicted.len() as u64,
-        observed_keys: touched.len() as u64,
-        pivot_count,
-        false_locked,
-        cache_hit: slot.spec_cache_hit.load(Ordering::Acquire),
-        narrowed_dropped: slot.spec_narrowed.load(Ordering::Acquire),
+        predicted_keys: state.predicted_keys,
+        observed_keys: state.observed_keys,
+        false_locked: state.false_locked,
         touched: touched.into_iter().cloned().collect(),
-        prediction,
+        prediction: state.prediction.clone(),
+        ..observation(tx, state, ObservedVerdict::Committed)
     });
 }
 
-/// Delivers a retry (pivot-miss / scope-miss) observation for slot `i`'s
-/// failed attempt, when a sink is attached.
-fn observe_retry(work: &BatchWork, slot: &TxSlot, verdict: ObservedVerdict) {
-    let Some(sink) = &work.adapt else { return };
-    let pivot_count = slot
-        .state
-        .lock()
-        .prediction
-        .as_ref()
-        .map_or(0, |p| p.pivot_observations.len() as u64);
-    sink.observe_tx(TxObservation {
-        program: slot.program.name().to_string(),
-        fingerprint: fingerprint_inputs(&slot.req.inputs),
-        inputs: slot.req.inputs.clone(),
+/// Delivers a retry (pivot-miss / scope-miss) observation for a failed
+/// attempt, when a sink is attached.
+fn observe_retry(work: &BatchWork, tx: &Tx, state: &TxState, verdict: ObservedVerdict) {
+    if let Some(sink) = &work.hooks.adapt {
+        sink.observe_tx(observation(tx, state, verdict));
+    }
+}
+
+/// The fields every observation of `tx` carries; commit observations
+/// fill in the key sets on top.
+fn observation(tx: &Tx, state: &TxState, verdict: ObservedVerdict) -> TxObservation {
+    TxObservation {
+        program: tx.program.name().to_string(),
+        fingerprint: fingerprint_inputs(&tx.req.inputs),
+        inputs: tx.req.inputs.clone(),
         verdict,
         predicted_keys: 0,
         observed_keys: 0,
-        pivot_count,
+        pivot_count: state.prediction.as_ref().map_or(0, |p| p.pivot_observations.len() as u64),
         false_locked: 0,
-        cache_hit: slot.spec_cache_hit.load(Ordering::Acquire),
-        narrowed_dropped: slot.spec_narrowed.load(Ordering::Acquire),
+        cache_hit: state.spec_cache_hit,
+        narrowed_dropped: state.spec_narrowed,
         touched: Vec::new(),
         prediction: None,
-    });
-}
-
-/// Executes update slot `i`, recording success, a deterministic abort, or
-/// pushing it to the failed (retry) list.
-///
-/// Workload bugs and injected worker panics are caught here, per
-/// transaction: execution is write-buffered, so an unwind discards all of
-/// the transaction's writes (no torn state), and the calling worker then
-/// releases the transaction's lock slots in key-set order via
-/// `LockTable::release` exactly as on commit — successors unblock
-/// identically on every replica.
-fn execute_update_slot(work: &BatchWork, i: TxIdx, store: &EpochStore) {
-    let slot = &work.slots[i as usize];
-    // Recovery replay: the original run unwound here; reproduce the same
-    // abort (same reason, same discarded writes) without panicking. The
-    // caller still releases the slot's locks exactly as on the live path.
-    if let Some(reason) = work
-        .fault_plan
-        .as_ref()
-        .and_then(|plan| plan.replay_abort(work.batch_index, i))
-    {
-        record_abort(slot, reason);
-        return;
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(plan) = &work.fault_plan {
-            plan.maybe_inject_worker_panic(work.batch_index, i);
-        }
-        match &slot.table_scope {
-            Some(scope) => {
-                // NODO: table locks, direct scoped execution, no validation.
-                execute_scoped(store, &slot.program, &slot.req.inputs, scope)
-            }
-            None => {
-                let prediction = slot.state.lock().prediction.clone().expect("prepared");
-                match work.prepare_mode {
-                    PrepareMode::Profile if slot.profile.is_some() => {
-                        execute_update(store, &slot.program, &slot.req.inputs, &prediction)
-                    }
-                    _ => {
-                        // Reconnaissance-prepared (also the SE-capped
-                        // fallback): the commit check is key-set
-                        // containment, not pivot validation.
-                        execute_reconnoitered(store, &slot.program, &slot.req.inputs, &prediction)
-                    }
-                }
-            }
-        }
-    }));
-    match result {
-        Ok(Ok(log)) => {
-            observe_commit(work, slot, &log);
-            record_access_log(work, i, &log);
-            slot.finished_ns.store(work.now_ns().max(1), Ordering::Release);
-        }
-        Ok(Err(TxFailure::Eval(e))) => {
-            record_abort(slot, AbortReason::workload(slot.program.name(), e));
-        }
-        Ok(Err(failure)) => {
-            let verdict = match failure {
-                TxFailure::PivotChanged { .. } => ObservedVerdict::PivotMiss,
-                _ => ObservedVerdict::ScopeMiss,
-            };
-            observe_retry(work, slot, verdict);
-            slot.aborts.fetch_add(1, Ordering::Relaxed);
-            work.failed.lock().push(i);
-        }
-        Err(payload) => {
-            record_abort(slot, AbortReason::from_panic_message(panic_message(payload.as_ref())));
-        }
     }
 }

@@ -69,30 +69,103 @@ pub enum TxFailure {
     Eval(EvalError),
 }
 
-/// A write-buffered execution view.
+/// Plain operation counts of one execution or preparation. The engine
+/// ignores them; the bench simulator charges virtual time from them, so
+/// every path counts the same way.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    /// `GET`s the program issued (buffer hits and out-of-scope reads
+    /// included).
+    pub gets: u64,
+    /// `GET`s answered from the transaction's own write buffer.
+    pub buffer_hits: u64,
+    /// `PUT`s the program issued.
+    pub puts: u64,
+    /// Store reads made to resolve or validate pivots.
+    pub pivot_reads: u64,
+}
+
+/// Which store state a view (or a preparation) reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Snapshot {
+    /// The state as of a committed epoch.
+    Epoch(u64),
+    /// The latest state, including the current batch's commits.
+    Live,
+}
+
+/// What a successful execution produced: the emitted values and the
+/// observed access provenance.
+pub type Executed = (Vec<Value>, AccessLog);
+
+/// The one write-buffered execution view, in four configurations:
+/// scoped to a locked key-set ([`ExecView::new`]), unscoped over the live
+/// state ([`ExecView::live`], serial re-execution), a read-only epoch
+/// snapshot ([`ExecView::read_only`], ROTs) and a discard-writes snapshot
+/// ([`ExecView::recon`], reconnaissance).
 ///
-/// Reads of keys inside the allowed (locked) set go to the latest store
-/// state; reads outside it **deterministically** return [`Value::Unit`] and
-/// flag a violation — never a racy value, so the abort decision is
+/// Reads of keys inside the allowed (locked) set go to the store; reads
+/// outside it **deterministically** return [`Value::Unit`] and flag a
+/// violation — never a racy value, so the abort decision is
 /// replica-deterministic. Writes are buffered and flushed only on commit.
 #[derive(Debug)]
 pub struct ExecView<'a> {
     store: &'a EpochStore,
-    allowed: &'a AccessScope,
+    from: Snapshot,
+    allowed: Option<&'a AccessScope>,
+    writable: bool,
     buffer: HashMap<Key, Value>,
     reads: Vec<(Key, u64)>,
     violated: bool,
+    ops: OpCounts,
 }
 
 impl<'a> ExecView<'a> {
-    /// Creates a view allowing access to `allowed` (the locked scope).
+    fn over(store: &'a EpochStore, from: Snapshot, allowed: Option<&'a AccessScope>) -> Self {
+        ExecView {
+            store,
+            from,
+            allowed,
+            writable: true,
+            buffer: HashMap::new(),
+            reads: Vec::new(),
+            violated: false,
+            ops: OpCounts::default(),
+        }
+    }
+
+    /// A live view allowing access to `allowed` (the locked scope) only.
     pub fn new(store: &'a EpochStore, allowed: &'a AccessScope) -> Self {
-        ExecView { store, allowed, buffer: HashMap::new(), reads: Vec::new(), violated: false }
+        Self::over(store, Snapshot::Live, Some(allowed))
+    }
+
+    /// An unscoped live view: reads see the latest store contents
+    /// (including the current batch's commits). The single-threaded
+    /// re-execution path (`SF`, the `MF` termination fallback, `SEQ`)
+    /// holds no locks and has no scope.
+    pub fn live(store: &'a EpochStore) -> Self {
+        Self::over(store, Snapshot::Live, None)
+    }
+
+    /// A lock-less view of the batch snapshot for read-only transactions
+    /// (paper §III-C); a write through it panics.
+    pub fn read_only(store: &'a EpochStore, snapshot_epoch: u64) -> Self {
+        ExecView { writable: false, ..Self::over(store, Snapshot::Epoch(snapshot_epoch), None) }
+    }
+
+    /// A reconnaissance view: reads come from `snapshot`, writes are
+    /// buffered (with read-your-writes) and never committed.
+    pub fn recon(store: &'a EpochStore, snapshot: Snapshot) -> Self {
+        Self::over(store, snapshot, None)
     }
 
     /// Whether any out-of-set access happened.
     pub fn violated(&self) -> bool {
         self.violated
+    }
+
+    fn allows(&self, key: &Key) -> bool {
+        self.allowed.is_none_or(|scope| scope.allows(key))
     }
 
     /// Flushes buffered writes to the store (call only on commit) and
@@ -114,23 +187,29 @@ impl<'a> ExecView<'a> {
 
 impl TxStore for ExecView<'_> {
     fn get(&mut self, key: &Key) -> Option<Value> {
+        self.ops.gets += 1;
         if let Some(v) = self.buffer.get(key) {
+            self.ops.buffer_hits += 1;
             return Some(v.clone());
         }
-        if self.allowed.allows(key) {
-            let (ver, value) = self.store.get_latest_versioned(key);
-            if !self.reads.iter().any(|(k, _)| k == key) {
-                self.reads.push((key.clone(), ver));
-            }
-            value
-        } else {
+        if !self.allows(key) {
             self.violated = true;
-            None
+            return None;
         }
+        let (ver, value) = match self.from {
+            Snapshot::Epoch(epoch) => self.store.get_at_versioned(key, epoch),
+            Snapshot::Live => self.store.get_latest_versioned(key),
+        };
+        if !self.reads.iter().any(|(k, _)| k == key) {
+            self.reads.push((key.clone(), ver));
+        }
+        value
     }
 
     fn put(&mut self, key: &Key, value: Value) {
-        if !self.allowed.allows(key) {
+        assert!(self.writable, "read-only transaction attempted a write");
+        self.ops.puts += 1;
+        if !self.allows(key) {
             self.violated = true;
         }
         self.buffer.insert(key.clone(), value);
@@ -138,12 +217,18 @@ impl TxStore for ExecView<'_> {
 }
 
 /// Validates a dependent transaction's pivots: every observed pivot value
-/// must still equal the current value (paper §III-C).
+/// must still equal the current value (paper §III-C). Each comparison is
+/// one store read, counted into `ops.pivot_reads`.
 ///
 /// # Errors
 /// Returns [`TxFailure::PivotChanged`] naming the first stale pivot.
-pub fn validate_pivots(store: &EpochStore, prediction: &Prediction) -> Result<(), TxFailure> {
+pub fn validate_pivots(
+    store: &EpochStore,
+    prediction: &Prediction,
+    ops: &mut OpCounts,
+) -> Result<(), TxFailure> {
     for (key, observed) in &prediction.pivot_observations {
+        ops.pivot_reads += 1;
         let current = store.get_latest(key).unwrap_or(Value::Unit);
         if &current != observed {
             return Err(TxFailure::PivotChanged { key: key.clone() });
@@ -152,9 +237,36 @@ pub fn validate_pivots(store: &EpochStore, prediction: &Prediction) -> Result<()
     Ok(())
 }
 
+/// Runs `program` in `view` and commits on success (or aborts without
+/// side effects), returning the emitted values and observed [`AccessLog`]
+/// beside the view's operation counts.
+///
+/// # Errors
+/// [`TxFailure::KeySetViolation`] on out-of-scope access,
+/// [`TxFailure::Eval`] on workload bugs.
+pub fn execute(
+    mut view: ExecView<'_>,
+    program: &Program,
+    inputs: &[Value],
+) -> (Result<Executed, TxFailure>, OpCounts) {
+    let run = Interpreter::new().without_input_validation().run(program, inputs, &mut view);
+    let ops = view.ops;
+    let result = match run {
+        // An evaluation error after an out-of-scope access is the
+        // violation itself: the view deterministically injected `Unit`
+        // for the foreign read, and the program choked on it. Only a
+        // clean-scope evaluation error is a genuine workload bug.
+        _ if view.violated => Err(TxFailure::KeySetViolation),
+        Ok(out) => Ok((out.emitted, view.commit())),
+        Err(e) => Err(TxFailure::Eval(e)),
+    };
+    (result, ops)
+}
+
 /// Executes an update transaction under its predicted key-set:
 /// validate pivots → run buffered → commit (or abort without side
-/// effects). Returns the observed [`AccessLog`] on commit.
+/// effects). A reconnaissance prediction carries no pivot observations,
+/// so for it this is exactly the OLLP re-check (key-set containment).
 ///
 /// # Errors
 /// [`TxFailure`] on stale pivots, key-set violations, or workload bugs.
@@ -163,57 +275,21 @@ pub fn execute_update(
     program: &Program,
     inputs: &[Value],
     prediction: &Prediction,
-) -> Result<AccessLog, TxFailure> {
-    validate_pivots(store, prediction)?;
+) -> (Result<Executed, TxFailure>, OpCounts) {
+    let mut ops = OpCounts::default();
+    if let Err(stale) = validate_pivots(store, prediction, &mut ops) {
+        return (Err(stale), ops);
+    }
     let allowed = AccessScope::keys_of(prediction);
-    let view = ExecView::new(store, &allowed);
-    execute_in_view(view, program, inputs)
-}
-
-/// Executes a read-only transaction against the batch snapshot (lock-less,
-/// paper §III-C). Returns the emitted values plus the observed
-/// [`AccessLog`] (snapshot reads only; ROTs never write).
-///
-/// # Errors
-/// [`TxFailure::Eval`] on workload bugs (ROTs cannot otherwise fail).
-pub fn execute_read_only(
-    store: &EpochStore,
-    program: &Program,
-    inputs: &[Value],
-    snapshot_epoch: u64,
-) -> Result<(Vec<Value>, AccessLog), TxFailure> {
-    // Snapshot reads carry provenance too: the checker needs the version
-    // each ROT observed to place it between the writer batches.
-    struct TracedSnapshot<'a> {
-        store: &'a EpochStore,
-        epoch: u64,
-        reads: Vec<(Key, u64)>,
-    }
-    impl TxStore for TracedSnapshot<'_> {
-        fn get(&mut self, key: &Key) -> Option<Value> {
-            let (ver, value) = self.store.get_at_versioned(key, self.epoch);
-            if !self.reads.iter().any(|(k, _)| k == key) {
-                self.reads.push((key.clone(), ver));
-            }
-            value
-        }
-        fn put(&mut self, _key: &Key, _value: Value) {
-            panic!("read-only transaction attempted a write");
-        }
-    }
-    let mut view = TracedSnapshot { store, epoch: snapshot_epoch, reads: Vec::new() };
-    let interp = Interpreter::new().without_input_validation();
-    match interp.run(program, inputs, &mut view) {
-        Ok(out) => Ok((out.emitted, AccessLog { reads: view.reads, writes: Vec::new() })),
-        Err(e) => Err(TxFailure::Eval(e)),
-    }
+    let (result, run_ops) = execute(ExecView::new(store, &allowed), program, inputs);
+    (result, OpCounts { pivot_reads: ops.pivot_reads, ..run_ops })
 }
 
 /// Reconnaissance: pre-executes the transaction logic against a snapshot
 /// to discover its key-set (Calvin's OLLP and the `*-R` ablation variants,
-/// §IV-C). Returns a [`Prediction`] whose pivot observations cover *all*
-/// keys read, since without symbolic execution there is no way to know
-/// which reads pivot the key-set.
+/// §IV-C). Returns a [`Prediction`] without pivot observations: without
+/// symbolic execution there is no way to know which reads pivot the
+/// key-set, so the commit check is key-set containment instead.
 ///
 /// # Errors
 /// [`TxFailure::Eval`] on workload bugs.
@@ -221,148 +297,25 @@ pub fn reconnoiter(
     store: &EpochStore,
     program: &Program,
     inputs: &[Value],
-    snapshot_epoch: u64,
-) -> Result<Prediction, TxFailure> {
-    // Reads come from the snapshot; writes are buffered locally (with
-    // read-your-writes) and discarded — reconnaissance must not mutate.
-    struct ReconView<'a> {
-        store: &'a EpochStore,
-        epoch: u64,
-        buffer: HashMap<Key, Value>,
-    }
-    impl TxStore for ReconView<'_> {
-        fn get(&mut self, key: &Key) -> Option<Value> {
-            if let Some(v) = self.buffer.get(key) {
-                return Some(v.clone());
+    snapshot: Snapshot,
+) -> (Result<Prediction, TxFailure>, OpCounts) {
+    let mut view = ExecView::recon(store, snapshot);
+    let run = Interpreter::new().without_input_validation().run(program, inputs, &mut view);
+    let result = run.map_err(TxFailure::Eval).map(|outcome| {
+        let mut prediction = Prediction::default();
+        for k in &outcome.trace.reads {
+            if !prediction.reads.contains(k) {
+                prediction.reads.push(k.clone());
             }
-            self.store.get_at(key, self.epoch)
         }
-        fn put(&mut self, key: &Key, value: Value) {
-            self.buffer.insert(key.clone(), value);
-        }
-    }
-    let mut view = ReconView { store, epoch: snapshot_epoch, buffer: HashMap::new() };
-    let interp = Interpreter::new().without_input_validation();
-    let outcome = interp.run(program, inputs, &mut view).map_err(TxFailure::Eval)?;
-    let mut prediction = Prediction::default();
-    for k in &outcome.trace.reads {
-        if !prediction.reads.contains(k) {
-            prediction.reads.push(k.clone());
-        }
-    }
-    for k in &outcome.trace.writes {
-        if !prediction.writes.contains(k) {
-            prediction.writes.push(k.clone());
-        }
-    }
-    Ok(prediction)
-}
-
-/// Executes a reconnaissance-predicted transaction: run buffered under the
-/// predicted key-set and commit only if no out-of-set access occurred
-/// (the OLLP re-check).
-///
-/// # Errors
-/// [`TxFailure::KeySetViolation`] when the state diverged enough that the
-/// transaction needs keys it did not lock; [`TxFailure::Eval`] on bugs.
-pub fn execute_reconnoitered(
-    store: &EpochStore,
-    program: &Program,
-    inputs: &[Value],
-    prediction: &Prediction,
-) -> Result<AccessLog, TxFailure> {
-    let allowed = AccessScope::keys_of(prediction);
-    let view = ExecView::new(store, &allowed);
-    execute_in_view(view, program, inputs)
-}
-
-/// Executes a transaction serially against the live state with buffered
-/// writes: reads see the latest store contents (including the current
-/// batch's commits), writes are buffered and flushed only on success.
-///
-/// This is the single-threaded re-execution path (`SF` and the `MF`
-/// termination fallback). Buffering matters for the abort protocol: if the
-/// program turns out to be a workload bug, the transaction must abort with
-/// *no* partial writes — a torn write here would diverge replicas whose
-/// later transactions read the half-written state.
-///
-/// # Errors
-/// [`TxFailure::Eval`] on workload bugs. Serial execution holds no locks
-/// and has no scope, so no other failure is possible.
-pub fn execute_live_buffered(
-    store: &EpochStore,
-    program: &Program,
-    inputs: &[Value],
-) -> Result<AccessLog, TxFailure> {
-    struct BufferedLive<'a> {
-        store: &'a EpochStore,
-        buffer: HashMap<Key, Value>,
-        reads: Vec<(Key, u64)>,
-    }
-    impl TxStore for BufferedLive<'_> {
-        fn get(&mut self, key: &Key) -> Option<Value> {
-            if let Some(v) = self.buffer.get(key) {
-                return Some(v.clone());
+        for k in &outcome.trace.writes {
+            if !prediction.writes.contains(k) {
+                prediction.writes.push(k.clone());
             }
-            let (ver, value) = self.store.get_latest_versioned(key);
-            if !self.reads.iter().any(|(k, _)| k == key) {
-                self.reads.push((key.clone(), ver));
-            }
-            value
         }
-        fn put(&mut self, key: &Key, value: Value) {
-            self.buffer.insert(key.clone(), value);
-        }
-    }
-    let mut view = BufferedLive { store, buffer: HashMap::new(), reads: Vec::new() };
-    let interp = Interpreter::new().without_input_validation();
-    interp.run(program, inputs, &mut view).map_err(TxFailure::Eval)?;
-    let mut buffered: Vec<(Key, Value)> = view.buffer.into_iter().collect();
-    buffered.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let mut writes = Vec::with_capacity(buffered.len());
-    for (k, v) in buffered {
-        let ver = store.put_versioned(&k, v);
-        writes.push((k, ver));
-    }
-    Ok(AccessLog { reads: view.reads, writes })
-}
-
-/// Executes a transaction inside an arbitrary [`AccessScope`] (used by the
-/// NODO baseline with table scopes).
-///
-/// # Errors
-/// [`TxFailure::KeySetViolation`] on out-of-scope access,
-/// [`TxFailure::Eval`] on workload bugs.
-pub fn execute_scoped(
-    store: &EpochStore,
-    program: &Program,
-    inputs: &[Value],
-    scope: &AccessScope,
-) -> Result<AccessLog, TxFailure> {
-    let view = ExecView::new(store, scope);
-    execute_in_view(view, program, inputs)
-}
-
-fn execute_in_view(
-    mut view: ExecView<'_>,
-    program: &Program,
-    inputs: &[Value],
-) -> Result<AccessLog, TxFailure> {
-    let interp = Interpreter::new().without_input_validation();
-    match interp.run(program, inputs, &mut view) {
-        Ok(_) => {
-            if view.violated() {
-                return Err(TxFailure::KeySetViolation);
-            }
-            Ok(view.commit())
-        }
-        // An evaluation error after an out-of-scope access is the
-        // violation itself: the view deterministically injected `Unit`
-        // for the foreign read, and the program choked on it. Only a
-        // clean-scope evaluation error is a genuine workload bug.
-        Err(_) if view.violated() => Err(TxFailure::KeySetViolation),
-        Err(e) => Err(TxFailure::Eval(e)),
-    }
+        prediction
+    });
+    (result, view.ops)
 }
 
 #[cfg(test)]
@@ -409,6 +362,19 @@ mod tests {
         // the second get was a read-your-writes buffer hit, not logged.
         assert_eq!(log.reads, vec![(k(1), 1)]);
         assert_eq!(log.writes, vec![(k(1), 2)]);
+    }
+
+    #[test]
+    fn op_counts_cover_every_get_put_and_buffer_hit() {
+        let store = EpochStore::new();
+        store.populate(vec![(k(1), Value::Int(10))]);
+        let allowed = AccessScope::Keys([k(1)].into_iter().collect());
+        let mut view = ExecView::new(&store, &allowed);
+        view.get(&k(1)); // store read
+        view.put(&k(1), Value::Int(11));
+        view.get(&k(1)); // buffer hit
+        view.get(&k(2)); // out of scope: still a GET the program issued
+        assert_eq!(view.ops, OpCounts { gets: 3, buffer_hits: 1, puts: 1, pivot_reads: 0 });
     }
 
     #[test]
@@ -470,12 +436,14 @@ mod tests {
             writes: vec![],
             pivot_observations: vec![(k(1), Value::Int(5))],
         };
-        assert!(validate_pivots(&store, &pred).is_ok());
+        let mut ops = OpCounts::default();
+        assert!(validate_pivots(&store, &pred, &mut ops).is_ok());
         store.put(&k(1), Value::Int(6));
         assert_eq!(
-            validate_pivots(&store, &pred),
+            validate_pivots(&store, &pred, &mut ops),
             Err(TxFailure::PivotChanged { key: k(1) })
         );
+        assert_eq!(ops.pivot_reads, 2, "one store read per comparison");
     }
 
     #[test]
@@ -491,7 +459,7 @@ mod tests {
         };
         // Pivot changes before execution.
         store.put(&k(1), Value::Int(9));
-        let err = execute_update(&store, &program, &[Value::Int(1)], &pred).unwrap_err();
+        let err = execute_update(&store, &program, &[Value::Int(1)], &pred).0.unwrap_err();
         assert!(matches!(err, TxFailure::PivotChanged { .. }));
         // Nothing was written.
         assert_eq!(store.get_latest(&k1(5)), None);
@@ -508,7 +476,7 @@ mod tests {
             writes: vec![k1(5)],
             pivot_observations: vec![(k(1), Value::Int(5))],
         };
-        execute_update(&store, &program, &[Value::Int(1)], &pred).unwrap();
+        execute_update(&store, &program, &[Value::Int(1)], &pred).0.unwrap();
         assert_eq!(store.get_latest(&k1(5)), Some(Value::Int(1)));
     }
 
@@ -524,8 +492,8 @@ mod tests {
         let program = b.build();
         // Uncommitted write in the current batch is invisible to the ROT.
         store.put(&k(1), Value::Int(99));
-        let (out, log) =
-            execute_read_only(&store, &program, &[], store.snapshot_epoch()).unwrap();
+        let view = ExecView::read_only(&store, store.snapshot_epoch());
+        let (out, log) = execute(view, &program, &[]).0.unwrap();
         assert_eq!(out, vec![Value::Int(5)]);
         // The ROT observed the populated version (ver 1), not the
         // current-batch write, and ROTs never log writes.
@@ -538,12 +506,12 @@ mod tests {
         let store = EpochStore::new();
         store.populate(vec![(k(1), Value::Int(5))]);
         let program = dep_program();
-        let pred =
-            reconnoiter(&store, &program, &[Value::Int(1)], store.snapshot_epoch()).unwrap();
+        let snapshot = Snapshot::Epoch(store.snapshot_epoch());
+        let pred = reconnoiter(&store, &program, &[Value::Int(1)], snapshot).0.unwrap();
         assert_eq!(pred.reads, vec![k(1)]);
         assert_eq!(pred.writes, vec![k1(5)]);
         // Execution with a matching state commits.
-        execute_reconnoitered(&store, &program, &[Value::Int(1)], &pred).unwrap();
+        execute_update(&store, &program, &[Value::Int(1)], &pred).0.unwrap();
         assert_eq!(store.get_latest(&k1(5)), Some(Value::Int(1)));
     }
 
@@ -552,7 +520,7 @@ mod tests {
         let store = EpochStore::new();
         store.populate(vec![(k(1), Value::Int(5))]);
         let program = dep_program();
-        execute_live_buffered(&store, &program, &[Value::Int(1)]).unwrap();
+        execute(ExecView::live(&store), &program, &[Value::Int(1)]).0.unwrap();
         assert_eq!(store.get_latest(&k1(5)), Some(Value::Int(1)));
     }
 
@@ -570,7 +538,7 @@ mod tests {
         b.get(v, Expr::key(t, vec![Expr::lit(1)]));
         b.put(Expr::key(u, vec![Expr::lit(8)]), Expr::lit(100).div(Expr::var(v)));
         let program = b.build();
-        let err = execute_live_buffered(&store, &program, &[]).unwrap_err();
+        let err = execute(ExecView::live(&store), &program, &[]).0.unwrap_err();
         assert!(matches!(err, TxFailure::Eval(_)));
         assert_eq!(store.get_latest(&k1(7)), None, "no torn write");
         assert_eq!(store.get_latest(&k1(8)), None);
@@ -581,12 +549,11 @@ mod tests {
         let store = EpochStore::new();
         store.populate(vec![(k(1), Value::Int(5))]);
         let program = dep_program();
-        let pred =
-            reconnoiter(&store, &program, &[Value::Int(1)], store.snapshot_epoch()).unwrap();
+        let snapshot = Snapshot::Epoch(store.snapshot_epoch());
+        let pred = reconnoiter(&store, &program, &[Value::Int(1)], snapshot).0.unwrap();
         // State changes: the transaction now needs t1(9), not locked.
         store.put(&k(1), Value::Int(9));
-        let err =
-            execute_reconnoitered(&store, &program, &[Value::Int(1)], &pred).unwrap_err();
+        let err = execute_update(&store, &program, &[Value::Int(1)], &pred).0.unwrap_err();
         assert_eq!(err, TxFailure::KeySetViolation);
         assert_eq!(store.get_latest(&k1(9)), None, "abort left no writes");
     }

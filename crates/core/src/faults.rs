@@ -48,9 +48,8 @@ pub enum AbortReason {
 }
 
 impl AbortReason {
-    /// Canonical workload-bug reason for an evaluation error in `program`.
-    /// Threaded engine and simulator both build reasons through this
-    /// constructor so their outcome vectors compare byte-identical.
+    /// Canonical workload-bug reason for an evaluation error in `program`
+    /// (the message is part of the replicated outcome vector).
     pub fn workload(program: &str, err: impl std::fmt::Display) -> Self {
         AbortReason::WorkloadBug(format!("{program}: {err}"))
     }
@@ -269,8 +268,8 @@ impl FaultPlan {
         }
     }
 
-    /// The abort reason an injected panic for `(batch, tx)` resolves to —
-    /// what a simulator records without actually unwinding.
+    /// The abort reason an injected panic for `(batch, tx)` resolves to
+    /// once caught.
     pub fn injected_abort_reason(batch: u64, tx: u32) -> AbortReason {
         AbortReason::InjectedFault(Self::injected_panic_message(batch, tx))
     }

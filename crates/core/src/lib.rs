@@ -44,23 +44,22 @@
 pub mod adapt;
 pub mod baselines;
 pub mod catalog;
-pub mod chaos;
 pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod locktable;
 pub mod pipelined;
 pub mod replica;
+pub mod sched;
 pub mod shard;
 
 pub use adapt::{AdaptSink, LogRecord, ObservedVerdict, TxObservation};
 pub use catalog::{Catalog, CatalogEntry, ProgId, TxRequest};
-pub use chaos::{ChaosClass, ChaosEvent, ChaosPhase, ChaosPlan, WireFaultKind, PLAN_NAMES};
 pub use engine::{
     BatchOutcome, Engine, FailedPolicy, Granularity, PreparedBatch, PrepareMode, SchedulerConfig,
     ShardStageTimings, StageTimings, TxOutcome,
 };
-pub use exec::{AccessScope, ExecView, TxFailure};
+pub use exec::{AccessScope, OpCounts, TxFailure};
 pub use faults::{AbortReason, ConsensusFault, DiskFaultKind, FaultPlan};
 pub use locktable::{
     BuilderStats, FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,

@@ -29,4 +29,4 @@ pub mod store;
 pub use chain::VersionChain;
 pub use hash::StableHasher;
 pub use latency::{AtomicLatency, LatencyConfig};
-pub use store::{EpochStore, LiveView, ShardWatermarks, SnapshotView, DEFAULT_SHARDS};
+pub use store::{EpochStore, LiveView, SnapshotView, DEFAULT_SHARDS};

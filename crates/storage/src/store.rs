@@ -282,54 +282,6 @@ impl TxStore for LiveView<'_> {
     }
 }
 
-/// Per-execution-shard GC watermarks over one shared [`EpochStore`].
-///
-/// A partitioned engine garbage-collects history only below the *minimum*
-/// epoch every key-space shard has finished with: a single lagging shard
-/// (e.g. one still preparing against an old snapshot) holds the floor, so
-/// no shard can ever observe a reclaimed version. With the engine's global
-/// batch barrier all shards report in lockstep and the floor equals the
-/// common epoch; the structure exists so the GC contract is stated (and
-/// tested) per shard rather than implied by the barrier.
-#[derive(Debug)]
-pub struct ShardWatermarks {
-    reported: Vec<AtomicU64>,
-}
-
-impl ShardWatermarks {
-    /// Watermarks for `shards` execution shards (clamped to at least 1),
-    /// all starting at epoch 0.
-    pub fn new(shards: usize) -> Self {
-        ShardWatermarks {
-            reported: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Number of shards tracked.
-    pub fn shards(&self) -> usize {
-        self.reported.len()
-    }
-
-    /// Records that `shard` no longer reads below `epoch`. Watermarks are
-    /// monotonic: a lower report than the current one is ignored.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn report(&self, shard: usize, epoch: u64) {
-        self.reported[shard].fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// The GC floor: the minimum epoch reported across all shards.
-    /// History strictly below this is safe to reclaim.
-    pub fn floor(&self) -> u64 {
-        self.reported
-            .iter()
-            .map(|w| w.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,45 +403,6 @@ mod tests {
         assert_eq!(s.get_at_versioned(&k(1), 1), (2, Some(Value::Int(10))));
         assert_eq!(s.get_latest_versioned(&k(1)), (3, Some(Value::Int(20))));
         assert_eq!(s.get_at_versioned(&k(2), 99), (0, None));
-    }
-
-    #[test]
-    fn lagging_shard_holds_back_the_gc_floor() {
-        let wm = ShardWatermarks::new(4);
-        assert_eq!(wm.shards(), 4);
-        assert_eq!(wm.floor(), 0);
-        for s in 0..4 {
-            wm.report(s, 10);
-        }
-        assert_eq!(wm.floor(), 10);
-        // Three shards race ahead; the floor stays at the laggard.
-        for s in 0..3 {
-            wm.report(s, 25);
-        }
-        assert_eq!(wm.floor(), 10, "shard 3 still reads epoch-10 history");
-        wm.report(3, 25);
-        assert_eq!(wm.floor(), 25);
-        // Watermarks are monotonic: a stale (lower) report is ignored.
-        wm.report(0, 5);
-        assert_eq!(wm.floor(), 25);
-    }
-
-    #[test]
-    fn watermark_floor_bounds_gc() {
-        // GC driven by the watermark floor must leave every version a
-        // lagging shard could still read.
-        let s = EpochStore::new();
-        s.populate(vec![(k(1), Value::Int(0))]);
-        for e in 1..10i64 {
-            s.put(&k(1), Value::Int(e));
-            s.advance_epoch();
-        }
-        let wm = ShardWatermarks::new(2);
-        wm.report(0, s.current_epoch());
-        wm.report(1, 4); // shard 1 still prepares against epoch 4
-        s.gc_before(wm.floor());
-        assert_eq!(s.get_at(&k(1), 4), Some(Value::Int(4)), "laggard's snapshot survives");
-        assert_eq!(s.get_latest(&k(1)), Some(Value::Int(9)));
     }
 
     #[test]

@@ -35,7 +35,8 @@ use prognosticator::{ClientConfig, ClientOutcome, ClientSession, Pipeline, Pipel
 use prognosticator_bench::json::Json;
 use prognosticator_consensus::{DiskFault as WalDiskFault, NetConfig, RetryPolicy};
 use prognosticator_core::baselines;
-use prognosticator_core::{ChaosEvent, ChaosPlan, DiskFaultKind, Replica, TxRequest};
+use crate::chaos_plan::{ChaosEvent, ChaosPlan};
+use prognosticator_core::{DiskFaultKind, Replica, TxRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +47,7 @@ use std::time::Duration;
 pub struct ChaosOracleConfig {
     /// Workload generating the request stream.
     pub workload: WorkloadKind,
-    /// Chaos plan name (one of [`prognosticator_core::PLAN_NAMES`]).
+    /// Chaos plan name (one of [`crate::PLAN_NAMES`]).
     pub plan: String,
     /// Seed for the plan, the request stream, and the simulated network.
     pub seed: u64,

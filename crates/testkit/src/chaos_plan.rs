@@ -1,6 +1,6 @@
 //! Seeded, phased chaos campaigns over the whole service loop.
 //!
-//! Where a [`FaultPlan`](crate::faults::FaultPlan) makes independent
+//! Where a [`FaultPlan`](prognosticator_core::FaultPlan) makes independent
 //! per-batch/per-tx decisions, a [`ChaosPlan`] orchestrates a *campaign*:
 //! contiguous [`ChaosPhase`]s of rounds, each with its own intensity and
 //! mix of fault classes, followed by a guaranteed-quiet tail. Every
@@ -15,12 +15,11 @@
 //! within a bounded number of batches, because nothing can disrupt the
 //! pipeline ever again.
 //!
-//! This crate sits below consensus in the dependency graph, so the plan
-//! only *decides*; the harness (testkit `chaos` module) owns the
+//! The plan only *decides*; the harness ([`crate::chaos`]) owns the
 //! `SimNet` / `RaftCluster` / `Pipeline` handles and applies each
 //! [`ChaosEvent`] transiently around a round of traffic.
 
-use crate::faults::DiskFaultKind;
+use prognosticator_core::DiskFaultKind;
 use std::time::Duration;
 
 /// One concrete chaos action, decided for a single round of traffic. The
@@ -171,7 +170,7 @@ pub const PLAN_NAMES: &[&str] =
     &["leader_churn", "split_and_storm", "crash_and_overload", "hostile_clients"];
 
 /// SplitMix64-style pure mix of `(seed, domain, a, b)` — the same
-/// construction [`FaultPlan`](crate::faults::FaultPlan) uses, with its own
+/// construction [`FaultPlan`](prognosticator_core::FaultPlan) uses, with its own
 /// seed space.
 fn mix(seed: u64, domain: u64, a: u64, b: u64) -> u64 {
     let mut z = seed

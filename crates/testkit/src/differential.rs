@@ -10,7 +10,7 @@
 //!   digest — with or without an injected [`FaultPlan`];
 //! * under a quiet plan, the `NODO` engine configuration (which preserves
 //!   client order) must reproduce the `SEQ` baseline's outcomes and
-//!   digest, and both simulator baselines must concur;
+//!   digest;
 //! * under a quiet plan, the parallel variants must commit exactly the
 //!   transactions `SEQ` commits (counts; their digests may differ because
 //!   MF/SF replay failed transactions in a different serial order).
@@ -22,7 +22,7 @@
 
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator_bench::json::Json;
-use prognosticator_bench::sim::{CostModel, SimReplica, SimSeq};
+use prognosticator_bench::sim::{CostModel, SimReplica};
 use prognosticator_core::baselines::{self, SeqEngine};
 use prognosticator_core::{Catalog, FaultPlan, Replica, TxOutcome, TxRequest};
 use prognosticator_txir::Value;
@@ -85,7 +85,7 @@ pub struct Mismatch {
 /// What a clean differential run established.
 #[derive(Debug)]
 pub struct DifferentialReport {
-    /// Execution legs compared (engines + simulators + serial baselines).
+    /// Execution legs compared (engines + simulator + serial baseline).
     pub systems: usize,
     /// Transactions replayed per leg.
     pub transactions: usize,
@@ -163,22 +163,6 @@ fn seq_leg(workload: &TestWorkload, stream: &[Vec<TxRequest>]) -> Leg {
     Leg { name: "seq".into(), outcomes, digest, committed }
 }
 
-fn simseq_leg(workload: &TestWorkload, stream: &[Vec<TxRequest>]) -> Leg {
-    let mut seq = SimSeq::new(
-        CostModel::default(),
-        Arc::clone(workload.catalog()),
-        workload.fresh_store(),
-    );
-    let mut outcomes = Vec::new();
-    let mut committed = 0;
-    for batch in stream {
-        let out = seq.execute_batch(batch.clone());
-        committed += out.committed;
-        outcomes.push(out.outcomes);
-    }
-    Leg { name: "sim-seq".into(), digest: seq.state_digest(), outcomes, committed }
-}
-
 fn diff_legs(a: &Leg, b: &Leg, digests: bool) -> Option<String> {
     for (i, (la, lb)) in a.outcomes.iter().zip(&b.outcomes).enumerate() {
         if la != lb {
@@ -251,12 +235,8 @@ fn check_stream(
             stream,
             None,
         );
-        let simseq = simseq_leg(workload, stream);
-        systems += 3;
+        systems += 2;
         if let Some(diff) = diff_legs(&seq, &nodo, true) {
-            return Err(diff);
-        }
-        if let Some(diff) = diff_legs(&seq, &simseq, true) {
             return Err(diff);
         }
         if reference.committed != seq.committed {

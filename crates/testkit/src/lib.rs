@@ -40,7 +40,7 @@
 //!
 //! * [`chaos`] — a chaos-campaign oracle: the full pipeline plus the
 //!   retrying client session under a seeded, eventually-healing
-//!   [`ChaosPlan`](prognosticator_core::ChaosPlan) (leader churn,
+//!   [`ChaosPlan`] (leader churn,
 //!   asymmetric partitions, replica restarts, duplicate/reorder storms,
 //!   overload bursts, disk faults), asserting terminal outcomes for every
 //!   request, post-heal liveness, replica determinism across worker
@@ -65,6 +65,7 @@
 //! [`Engine`]: prognosticator_core::Engine
 
 pub mod chaos;
+pub mod chaos_plan;
 pub mod differential;
 pub mod isolation;
 pub mod recovery;
@@ -98,6 +99,7 @@ pub fn report_oracle_failure(oracle: &str, detail: &str, reason: &str) {
 }
 
 pub use chaos::{run_chaos, ChaosOracleConfig, ChaosReport, ChaosViolation};
+pub use chaos_plan::{ChaosClass, ChaosEvent, ChaosPhase, ChaosPlan, WireFaultKind, PLAN_NAMES};
 pub use differential::{run_differential, DifferentialConfig, DifferentialReport, Mismatch};
 pub use isolation::{
     check_replica_trace, check_trace, inject_violation, run_isolation, trace_stream,

@@ -34,7 +34,7 @@ use prognosticator::{
 };
 use prognosticator_bench::json::Json;
 use prognosticator_core::baselines;
-use prognosticator_core::{ChaosEvent, ChaosPlan, WireFaultKind};
+use crate::chaos_plan::{ChaosEvent, ChaosPlan, WireFaultKind};
 use prognosticator_workloads::DeterministicRng;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};

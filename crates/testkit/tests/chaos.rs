@@ -11,7 +11,7 @@
 //! The sweep is tunable for CI soaks:
 //! `CHAOS_SEEDS=5` widens to 5 seeds per plan (default 3);
 //! `CHAOS_PLANS=leader_churn,split_and_storm` restricts the plan set
-//! (default: all of `prognosticator_core::PLAN_NAMES`).
+//! (default: all of `testkit::PLAN_NAMES`).
 
 use std::path::PathBuf;
 use testkit::{run_chaos, ChaosOracleConfig, ChaosReport};
@@ -25,7 +25,7 @@ fn plans() -> Vec<String> {
         Ok(csv) if !csv.trim().is_empty() => {
             csv.split(',').map(|p| p.trim().to_string()).collect()
         }
-        _ => prognosticator_core::PLAN_NAMES.iter().map(|p| p.to_string()).collect(),
+        _ => testkit::PLAN_NAMES.iter().map(|p| p.to_string()).collect(),
     }
 }
 

@@ -8,7 +8,7 @@ use prognosticator::storage::EpochStore;
 use prognosticator::workloads::{
     DeterministicRng, RubisConfig, RubisWorkload, TpccConfig, TpccWorkload,
 };
-use prognosticator_bench::sim::{CostModel, SimReplica, SimSeq};
+use prognosticator_bench::sim::{CostModel, SimReplica};
 use std::sync::Arc;
 
 fn tpcc() -> (Arc<Catalog>, Arc<TpccWorkload>) {
@@ -149,21 +149,47 @@ fn simulator_matches_threaded_engine_under_faults() {
     }
 }
 
-/// SEQ (threaded) and SimSeq execute identically.
+/// The schedule itself under tier-1: at {1, 4} shards, with and without
+/// an active fault plan, the engine must agree batch-for-batch with the
+/// simulator — whose per-key queues and ready-heap share no code with the
+/// engine's arena lock tables or its cross-shard exchange.
 #[test]
-fn sim_seq_matches_seq() {
+fn simulator_matches_sharded_engine_with_and_without_faults() {
     let (catalog, workload) = tpcc();
-    let store_a = fresh_store(|s| workload.populate(s));
-    let store_b = fresh_store(|s| workload.populate(s));
-    let mut seq = SeqEngine::new(Arc::clone(&catalog), Arc::clone(&store_a));
-    let mut sim = SimSeq::new(CostModel::default(), Arc::clone(&catalog), store_b);
-    let mut rng = DeterministicRng::new(8);
-    for _ in 0..6 {
-        let batch = workload.gen_batch(&mut rng, 20);
-        seq.execute_batch(batch.clone());
-        sim.execute_batch(batch);
+    for plan in [None, Some(FaultPlan::quiet(23).with_worker_panics(120))] {
+        for shards in [1, 4] {
+            let label = format!("shards={shards}, faults={}", plan.is_some());
+            let config = SchedulerConfig { shards, ..baselines::mq_mf(2) };
+            let mut engine = Replica::with_store(
+                config.clone(),
+                Arc::clone(&catalog),
+                fresh_store(|s| workload.populate(s)),
+            );
+            let mut sim = SimReplica::new(
+                config,
+                CostModel::default(),
+                Arc::clone(&catalog),
+                fresh_store(|s| workload.populate(s)),
+            );
+            engine.set_fault_plan(plan.clone());
+            sim.set_fault_plan(plan.clone());
+            let mut rng = DeterministicRng::new(31);
+            for batch_no in 0..5 {
+                let batch = workload.gen_batch(&mut rng, 24);
+                let eo = engine.execute_batch(batch.clone());
+                let so = sim.execute_batch(batch);
+                assert_eq!(eo.outcomes, so.outcomes, "outcomes, batch {batch_no}: {label}");
+                assert_eq!(eo.rounds, so.rounds, "rounds, batch {batch_no}: {label}");
+                assert_eq!(eo.aborts, so.aborts, "retry events, batch {batch_no}: {label}");
+                assert_eq!(
+                    engine.state_digest(),
+                    sim.state_digest(),
+                    "digest divergence at batch {batch_no}: {label}"
+                );
+            }
+            engine.shutdown();
+        }
     }
-    assert_eq!(store_a.state_digest(), sim.state_digest());
 }
 
 /// NODO preserves client order for every transaction, so it is
