@@ -16,10 +16,7 @@ fn main() {
         "Figure 3 — TPC-C max sustainable throughput (p99 < {:?}) and abort rate",
         cfg.p99_limit
     );
-    println!(
-        "workers = {}, warmup = {}, measured batches = {}\n",
-        cfg.workers, cfg.warmup_batches, cfg.measure_batches
-    );
+    println!("{}", cfg.header());
 
     for warehouses in [100i64, 10, 1] {
         let contention = match warehouses {

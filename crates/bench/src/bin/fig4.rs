@@ -12,10 +12,7 @@ fn main() {
         "Figure 4 — RUBiS-C max sustainable throughput (p99 < {:?}) and abort rate",
         cfg.p99_limit
     );
-    println!(
-        "workers = {}, warmup = {}, measured batches = {}\n",
-        cfg.workers, cfg.warmup_batches, cfg.measure_batches
-    );
+    println!("{}", cfg.header());
 
     let setup = rubis_setup();
     let mut rows = Vec::new();

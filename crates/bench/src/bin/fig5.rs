@@ -12,10 +12,7 @@ fn main() {
     let cfg = SustainConfig::default();
     let mut groups = Vec::new();
     println!("Figure 5 — Prognosticator variant ablation on TPC-C");
-    println!(
-        "workers = {}, warmup = {}, measured batches = {}\n",
-        cfg.workers, cfg.warmup_batches, cfg.measure_batches
-    );
+    println!("{}", cfg.header());
 
     for warehouses in [100i64, 10, 1] {
         println!("== {warehouses} warehouses ==");

@@ -6,35 +6,22 @@
 //!
 //! Run: `cargo run --release -p prognosticator-bench --bin scaling`
 
-use prognosticator_bench::sim::{CostModel, SimReplica};
-use prognosticator_bench::{render_table, tpcc_setup, SystemKind};
-use prognosticator_core::baselines::SeqEngine;
-use prognosticator_storage::EpochStore;
-use std::sync::Arc;
+use prognosticator_bench::sim::CostModel;
+use prognosticator_bench::{render_table, sim_engine, tpcc_setup, SystemKind};
 
 const BATCH: usize = 512;
 const BATCHES: usize = 6;
 
 fn makespan_ms(kind: SystemKind, workers: usize, setup: &prognosticator_bench::WorkloadSetup) -> f64 {
-    let store = Arc::new(EpochStore::new());
-    (setup.populate)(&store);
-    let cost = CostModel { workers, ..CostModel::default() };
+    let mut execute = sim_engine(kind, setup, CostModel { workers, ..CostModel::default() });
     let mut gen = (setup.make_gen)(0xBEEF);
-    let total: std::time::Duration = match kind.config(workers) {
-        Some(config) => {
-            let mut r = SimReplica::new(config, cost, Arc::clone(&setup.catalog), store);
-            (0..BATCHES).map(|_| r.execute_batch(gen(BATCH)).duration).sum()
-        }
-        None => {
-            let mut seq = SeqEngine::new(Arc::clone(&setup.catalog), store);
-            (0..BATCHES).map(|_| cost.run_seq(&mut seq, gen(BATCH)).duration).sum()
-        }
-    };
+    let total: std::time::Duration = (0..BATCHES).map(|_| execute(gen(BATCH)).duration).sum();
     total.as_secs_f64() * 1_000.0 / BATCHES as f64
 }
 
 fn main() {
-    println!("Worker scaling (simulated), TPC-C, batch = {BATCH}, mean batch makespan in ms\n");
+    println!("Worker scaling, TPC-C, batch = {BATCH}, mean batch makespan in ms");
+    println!("{}, cost.workers = P (swept)\n", CostModel::default().time_label());
     for warehouses in [100i64, 1] {
         println!("== {warehouses} warehouses ==");
         let setup = tpcc_setup(warehouses);

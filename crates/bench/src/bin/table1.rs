@@ -97,7 +97,9 @@ fn main() {
     }
 
     println!("Table I — symbolic-execution analysis of the update transactions");
-    println!("(optimized = relevance + merging + loop summarization; unoptimized = none)\n");
+    println!("(optimized = relevance + merging + loop summarization; unoptimized = none)");
+    println!("time: the two `Wall ms` columns are wall clock on this host, and so is the");
+    println!("unoptimized {}s budget a row may hit; every other column is a count\n", unopt_cfg.time_budget.as_secs());
     let headers = [
         "Transaction",
         "States opt",
@@ -107,8 +109,8 @@ fn main() {
         "Indirect",
         "Mem KB opt",
         "Mem KB unopt",
-        "Time ms opt",
-        "Time ms unopt",
+        "Wall ms opt",
+        "Wall ms unopt",
     ];
     let table_rows: Vec<Vec<String>> = rows
         .iter()

@@ -47,7 +47,8 @@ fn main() {
         ("all off", config(false, false, false)),
     ];
 
-    println!("Ablation of the §III-B analysis optimizations (caps: 500k states / 10 s / depth 1024)\n");
+    println!("Ablation of the §III-B analysis optimizations (caps: 500k states / 10 s / depth 1024)");
+    println!("time: `Wall ms` and the 10 s budget are wall clock on this host; every other column is a count\n");
     for (name, program) in [
         ("TPC-C newOrder", &programs.new_order),
         ("TPC-C delivery", &programs.delivery),
@@ -65,7 +66,7 @@ fn main() {
         print!(
             "{}",
             prognosticator_bench::render_table(
-                &["Variant", "States", "Key-sets", "Merged", "Summarized", "Mem KB", "Time ms"],
+                &["Variant", "States", "Key-sets", "Merged", "Summarized", "Mem KB", "Wall ms"],
                 &rows
             )
         );

@@ -1,6 +1,8 @@
 #![warn(missing_docs)]
-//! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation (§IV).
+//! The harness regenerating the *shapes* of every table and figure of the
+//! paper's evaluation (§IV), in virtual time: every duration it reports is
+//! a [`CostModel`] charge on [`SimReplica`]'s clocks, never a measurement
+//! of this host (wall-clock speed is `bench_wall`'s job).
 //!
 //! Methodology (matching the paper): batches arrive at a fixed 10 ms
 //! interval; for each system we search for the largest batch size whose
@@ -11,17 +13,18 @@
 //! here are scaled for laptop runs and adjustable via [`SustainConfig`]
 //! (set `PROGNOSTICATOR_FAST=1` to shrink everything further).
 //!
-//! Binaries: `table1`, `fig3`, `fig4`, `fig5` (one per paper exhibit).
+//! Binaries: `table1`, `fig3`, `fig4`, `fig5` (one per paper exhibit),
+//! plus the `table1_ablation` and `scaling` studies.
 
 pub mod json;
 pub mod sim;
 
 use prognosticator_core::{
-    baselines, BatchOutcome, Catalog, Replica, SchedulerConfig, StageTimings, TxRequest,
+    baselines, BatchOutcome, Catalog, SchedulerConfig, StageTimings, TxRequest,
 };
 use prognosticator_core::baselines::SeqEngine;
 use prognosticator_obs::Histogram;
-use prognosticator_storage::{EpochStore, LatencyConfig};
+use prognosticator_storage::EpochStore;
 use sim::{CostModel, SimReplica};
 use std::sync::Arc;
 use std::time::Duration;
@@ -127,21 +130,24 @@ pub struct SustainConfig {
     pub warmup_batches: usize,
     /// Measured batches per trial (paper: 7).
     pub measure_batches: usize,
-    /// Worker threads per replica.
-    pub workers: usize,
     /// Largest batch size the search may try.
     pub max_batch: usize,
-    /// Injected per-access store latency in wall-clock mode, emulating
-    /// the paper's RocksDB (JNI) deployment — see DESIGN.md §2.
-    pub store_latency: Duration,
-    /// `true` (default): discrete-event simulation over
-    /// [`CostModel::workers`] virtual workers — exact, host-independent
-    /// reproduction of the scheduling behaviour (this host may have a
-    /// single core). `false` (`PROGNOSTICATOR_WALLCLOCK=1`): drive the
-    /// real threaded engine and measure wall-clock time.
-    pub simulated: bool,
-    /// Cost model for simulated mode.
+    /// Virtual-time costs, including the simulated worker count.
     pub cost: CostModel,
+}
+
+impl SustainConfig {
+    /// The two header lines every figure prints: which clock the numbers
+    /// are on, and the trial shape.
+    pub fn header(&self) -> String {
+        format!(
+            "{}, cost.workers = {}\nwarmup = {}, measured batches = {}\n",
+            self.cost.time_label(),
+            self.cost.workers,
+            self.warmup_batches,
+            self.measure_batches
+        )
+    }
 }
 
 impl Default for SustainConfig {
@@ -154,10 +160,7 @@ impl Default for SustainConfig {
             // 20-batch-stale Calvin prepare reads genuinely old epochs.
             warmup_batches: if fast { 12 } else { 25 },
             measure_batches: if fast { 5 } else { 10 },
-            workers: std::thread::available_parallelism().map_or(4, |p| p.get().clamp(2, 20)),
             max_batch: if fast { 1024 } else { 8192 },
-            store_latency: Duration::from_micros(1),
-            simulated: !std::env::var("PROGNOSTICATOR_WALLCLOCK").is_ok_and(|v| v != "0"),
             cost: CostModel::default(),
         }
     }
@@ -214,87 +217,16 @@ pub struct RunResult {
     /// Mean prepare-ahead overlap per batch (µs): classification time
     /// hidden behind the previous batch's execution.
     pub overlap_us: f64,
-    /// Fresh lock-queue allocations over the measured window (0 once the
-    /// builder's recycled pools cover the working set; always 0 in
-    /// simulated mode, which models no allocator).
-    pub lock_fresh_allocs: u64,
-    /// WAL fsyncs issued over the run (0 for purely simulated exhibits,
-    /// which model no disk; populated by the durability exhibit).
-    pub wal_fsyncs: u64,
-    /// Snapshots installed on followers from a leader's compacted log
-    /// (durability exhibit only).
-    pub snapshot_installs: u64,
-    /// Microseconds spent replaying the committed batch log during
-    /// deterministic crash recovery (durability exhibit only).
-    pub recovery_replay_us: u64,
-    /// Worker wait episodes over the measured window: transitions from
-    /// executing to spinning on the lock queues (deterministic
-    /// idle-waits in simulated mode, wall-clock spin entries on the
-    /// threaded engine).
+    /// Worker wait episodes over the measured window: the earliest-free
+    /// virtual worker sat idle until a transaction became ready.
     pub lock_waits: u64,
     /// Keys whose frozen lock queue held more than one transaction,
     /// summed over the measured batches — a pure function of batch
-    /// content, identical in simulated and threaded modes.
+    /// content.
     pub lock_contended_keys: u64,
     /// Per-stage per-batch latency distributions over the measured
     /// window (empty when a trial measured no batches).
     pub stage_hists: Vec<StageHist>,
-    /// Client-level retry submissions (admission backoffs plus
-    /// quarantine resubmissions) over the run; 0 for exhibits without a
-    /// retrying client in the loop.
-    pub client_retries: u64,
-    /// Requests refused by bounded admission or health-based load
-    /// shedding over the run; 0 for exhibits with unbounded admission.
-    pub shed_requests: u64,
-    /// Batches proposed while the replica fleet was degraded or on
-    /// recovery probation; 0 for exhibits without the health monitor in
-    /// the loop.
-    pub degraded_batches: u64,
-    /// Key-space shard count the point ran at (0 = not reported: the
-    /// exhibit predates sharding or drives the single-shard simulator).
-    pub shards: usize,
-    /// Fraction of update transactions whose predicted key-set spanned
-    /// several shards (resolved by the queuer's deterministic barrier
-    /// exchange); 0.0 at one shard.
-    pub cross_shard_ratio: f64,
-    /// Mean per-batch lock-queue population time charged to each shard
-    /// (µs), indexed by physical shard; empty for unsharded/simulated
-    /// exhibits.
-    pub shard_queue_us: Vec<f64>,
-    /// Mean per-batch execution time charged to each shard (µs), indexed
-    /// by physical shard; empty for unsharded/simulated exhibits.
-    pub shard_execute_us: Vec<f64>,
-    /// Connections the network front-end accepted over the run (schema
-    /// v5); 0 for exhibits that drive the engine in-process.
-    pub connections: u64,
-    /// Clients the front-end evicted (stalled frames, wedged response
-    /// sockets, drain-deadline overruns) over the run.
-    pub evicted_clients: u64,
-    /// Requests answered with a deterministic wire-level rejection
-    /// (per-connection pipeline-depth backpressure, drain refusals).
-    pub wire_rejects: u64,
-    /// Open-loop served-traffic latency (ms), measured from each
-    /// request's *intended* send time (coordinated-omission-safe):
-    /// median.
-    pub open_loop_p50_ms: f64,
-    /// 99th percentile of the same distribution.
-    pub open_loop_p99_ms: f64,
-    /// Worst case of the same distribution.
-    pub open_loop_max_ms: f64,
-    /// Programs carrying an active profile specialization during the
-    /// run (schema v6); 0 for static-profile exhibits.
-    pub specializations_active: u64,
-    /// False lock conflicts attributed over the run: keys a transaction
-    /// predicted and contended on but never touched (schema v6); 0 when
-    /// no adaptation collector observed the run.
-    pub false_conflicts: u64,
-    /// Sum of predicted key counts over committed, profile-classified
-    /// transactions (schema v6); 0 without an adaptation collector.
-    pub predicted_keys: u64,
-    /// Sum of concretely touched key counts over the same transactions
-    /// (schema v6); `predicted_keys / observed_keys` is the run's
-    /// over-approximation ratio.
-    pub observed_keys: u64,
 }
 
 /// Per-stage distribution of per-batch times (µs) over the measured
@@ -339,57 +271,26 @@ pub struct TrialStats {
     pub stage_hists: Vec<StageHist>,
 }
 
-/// Any of the four ways the harness runs a system: threaded or
-/// simulated, parallel or `SEQ`. All report a [`BatchOutcome`].
-enum AnyEngine {
-    Parallel(Replica),
-    Seq(SeqEngine),
-    Sim(SimReplica),
-    SimSeq(SeqEngine, CostModel),
-}
-
-impl AnyEngine {
-    fn execute(&mut self, batch: Vec<TxRequest>) -> BatchOutcome {
-        match self {
-            AnyEngine::Parallel(r) => r.execute_batch(batch),
-            AnyEngine::Seq(e) => e.execute_batch(batch),
-            AnyEngine::Sim(r) => r.execute_batch(batch),
-            AnyEngine::SimSeq(e, cost) => cost.run_seq(e, batch),
-        }
-    }
-
-    fn shutdown(&mut self) {
-        if let AnyEngine::Parallel(r) = self {
-            r.shutdown();
-        }
-    }
-}
-
-fn build_engine(kind: SystemKind, setup: &WorkloadSetup, cfg: &SustainConfig) -> AnyEngine {
-    if cfg.simulated {
-        let store = Arc::new(EpochStore::new());
-        (setup.populate)(&store);
-        let mut cost = cfg.cost.clone();
-        cost.workers = cost.workers.max(1);
-        return match kind.config(cost.workers) {
-            Some(sched) => AnyEngine::Sim(SimReplica::new(
-                sched,
-                cost,
-                Arc::clone(&setup.catalog),
-                store,
-            )),
-            None => AnyEngine::SimSeq(SeqEngine::new(Arc::clone(&setup.catalog), store), cost),
-        };
-    }
-    let store = Arc::new(
-        EpochStore::new().with_latency(LatencyConfig::symmetric(cfg.store_latency)),
-    );
+/// Stands `kind` up on a freshly populated store and returns its
+/// batch executor: [`SimReplica`] for the parallel systems, the real
+/// [`SeqEngine`] on one virtual worker's clock for `SEQ`.
+pub fn sim_engine(
+    kind: SystemKind,
+    setup: &WorkloadSetup,
+    cost: CostModel,
+) -> Box<dyn FnMut(Vec<TxRequest>) -> BatchOutcome> {
+    let store = Arc::new(EpochStore::new());
     (setup.populate)(&store);
-    match kind.config(cfg.workers) {
+    let catalog = Arc::clone(&setup.catalog);
+    match kind.config(cost.workers) {
         Some(sched) => {
-            AnyEngine::Parallel(Replica::with_store(sched, Arc::clone(&setup.catalog), store))
+            let mut replica = SimReplica::new(sched, cost, catalog, store);
+            Box::new(move |batch| replica.execute_batch(batch))
         }
-        None => AnyEngine::Seq(SeqEngine::new(Arc::clone(&setup.catalog), store)),
+        None => {
+            let mut seq = SeqEngine::new(catalog, store);
+            Box::new(move |batch| cost.run_seq(&mut seq, batch))
+        }
     }
 }
 
@@ -400,7 +301,7 @@ pub fn run_trial(
     cfg: &SustainConfig,
     size: usize,
 ) -> TrialStats {
-    let mut engine = build_engine(kind, setup, cfg);
+    let mut execute = sim_engine(kind, setup, cfg.cost.clone());
     let mut gen = (setup.make_gen)(0xC0FFEE);
     let mut latencies: Vec<u64> = Vec::new();
     let mut stats = TrialStats::default();
@@ -416,7 +317,7 @@ pub fn run_trial(
         .map(|name| (name, Histogram::new(1)))
         .collect();
     for batch_no in 0..cfg.warmup_batches + cfg.measure_batches {
-        let outcome = engine.execute(gen(size));
+        let outcome = execute(gen(size));
         if batch_no < cfg.warmup_batches {
             continue;
         }
@@ -450,7 +351,6 @@ pub fn run_trial(
         reexec_ns += outcome.reexec_ns_total;
         reexec_n += outcome.reexec_count;
     }
-    engine.shutdown();
     latencies.sort_unstable();
     stats.p99 = if latencies.is_empty() {
         Duration::ZERO
@@ -558,11 +458,9 @@ pub fn measure_sustainable(
             execute_us: per_batch_us(stats.stage.execute_ns, cfg.measure_batches),
             commit_us: per_batch_us(stats.stage.commit_ns, cfg.measure_batches),
             overlap_us: per_batch_us(stats.stage.overlap_ns, cfg.measure_batches),
-            lock_fresh_allocs: stats.stage.lock_fresh_allocs,
             lock_waits: stats.stage.lock_waits,
             lock_contended_keys: stats.stage.lock_contended_keys,
             stage_hists: stats.stage_hists,
-            ..RunResult::default()
         },
         None => RunResult::default(),
     }
@@ -688,12 +586,13 @@ mod tests {
         let cfg = SustainConfig {
             warmup_batches: 1,
             measure_batches: 2,
-            workers: 2,
             max_batch: 64,
             ..SustainConfig::default()
         };
         let stats = run_trial(SystemKind::MqMf, &setup, &cfg, 32);
         assert_eq!(stats.committed, 64);
+        let stages: Vec<&str> = stats.stage_hists.iter().map(|h| h.stage.as_str()).collect();
+        assert_eq!(stages, ["predict", "queue", "execute", "commit"]);
         let stats = run_trial(SystemKind::Seq, &setup, &cfg, 32);
         assert_eq!(stats.committed, 64);
     }

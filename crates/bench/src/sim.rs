@@ -70,6 +70,20 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// The line every exhibit prints so no reader takes its numbers for
+    /// speed on this host: they are these charges summed on virtual clocks.
+    pub fn time_label(&self) -> String {
+        let us = |ns: u64| ns as f64 / 1000.0;
+        format!(
+            "time: virtual (CostModel: read {} µs, write {} µs, classify {} µs, lock op {} µs, sync {} µs)",
+            us(self.read_ns),
+            us(self.write_ns),
+            us(self.classify_ns),
+            us(self.lock_op_ns),
+            us(self.sync_ns)
+        )
+    }
+
     /// Virtual time of one execution: every `GET` (buffer hits and
     /// out-of-scope reads included) and pivot validation is a read.
     fn exec_ns(&self, ops: OpCounts) -> u64 {

@@ -80,23 +80,6 @@ impl std::fmt::Display for AbortReason {
     }
 }
 
-/// A disk-level fault decided for a batch (applied by the harness, which
-/// owns the WAL handles — the consensus crate sits *above* this one in
-/// the dependency graph, so core only *decides*; the testkit maps this
-/// onto the WAL's own fault enum before arming it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiskFaultKind {
-    /// The final WAL frame is written only partially before the crash
-    /// (torn write). Recovery must drop the torn tail.
-    TornFinalFrame,
-    /// The write lands in the page cache but the fsync fails; the crash
-    /// loses everything past the last durable offset.
-    FailedFsync,
-    /// A snapshot file is truncated mid-write and never renamed into
-    /// place; recovery must fall back to the previous snapshot + log.
-    PartialSnapshot,
-}
-
 /// A consensus-level disruption decided for a batch (applied by the test
 /// harness, which owns the network handles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,13 +112,6 @@ pub struct FaultPlan {
     pub storage_spike_latency: Duration,
     /// Probability (‰) that a given batch gets a consensus disruption.
     pub consensus_fault_per_mille: u16,
-    /// Probability (‰) that the crash at a scheduled crash point is
-    /// accompanied by a disk fault (torn frame / failed fsync / partial
-    /// snapshot) rather than a clean kill.
-    pub disk_fault_per_mille: u16,
-    /// Scheduled crash point: the harness kills the replica after this
-    /// batch's WAL append. `None` means the run never crashes.
-    pub crash_at_batch: Option<u64>,
     /// Replay mode: this plan is driving recovery replay of batches that
     /// already executed once. Injection goes quiet (no panics, spikes, or
     /// disruptions fire) but [`FaultPlan::replay_abort`] still reproduces
@@ -153,8 +129,6 @@ impl FaultPlan {
             storage_spike_per_mille: 0,
             storage_spike_latency: Duration::from_micros(50),
             consensus_fault_per_mille: 0,
-            disk_fault_per_mille: 0,
-            crash_at_batch: None,
             replay: false,
         }
     }
@@ -181,27 +155,12 @@ impl FaultPlan {
         self
     }
 
-    /// Enables disk faults at crash points at the given per-mille rate.
-    #[must_use]
-    pub fn with_disk_faults(mut self, per_mille: u16) -> Self {
-        self.disk_fault_per_mille = per_mille;
-        self
-    }
-
-    /// Schedules a crash after `batch`'s WAL append.
-    #[must_use]
-    pub fn with_crash_at(mut self, batch: u64) -> Self {
-        self.crash_at_batch = Some(batch);
-        self
-    }
-
     /// Derives the replay-mode variant of this plan: identical decision
     /// coordinates, but live injection is suppressed and
     /// [`FaultPlan::replay_abort`] reproduces the original aborts.
     #[must_use]
     pub fn replay(mut self) -> Self {
         self.replay = true;
-        self.crash_at_batch = None;
         self
     }
 
@@ -302,24 +261,6 @@ impl FaultPlan {
             })
         }
     }
-
-    /// Whether the harness kills the replica after `batch`'s WAL append.
-    pub fn crashes_at(&self, batch: u64) -> bool {
-        !self.replay && self.crash_at_batch == Some(batch)
-    }
-
-    /// The disk fault accompanying the crash at `batch`, if any. Only
-    /// meaningful at a scheduled crash point; quiet in replay mode.
-    pub fn disk_fault(&self, batch: u64) -> Option<DiskFaultKind> {
-        if self.replay || !self.roll(5, batch, 0, self.disk_fault_per_mille) {
-            return None;
-        }
-        match self.mix(6, batch, 0) % 3 {
-            0 => Some(DiskFaultKind::TornFinalFrame),
-            1 => Some(DiskFaultKind::FailedFsync),
-            _ => Some(DiskFaultKind::PartialSnapshot),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,23 +350,6 @@ mod tests {
                 assert_eq!(live.replay_abort(batch, tx), None);
             }
         }
-    }
-
-    #[test]
-    fn crash_points_and_disk_faults_are_deterministic() {
-        let p = FaultPlan::quiet(33).with_crash_at(7).with_disk_faults(1000);
-        assert!(p.crashes_at(7));
-        assert!(!p.crashes_at(6));
-        assert_eq!(p.disk_fault(7), p.disk_fault(7), "pure function");
-        assert!(p.disk_fault(7).is_some(), "1000 per mille always faults");
-        // Different batches can draw different fault kinds.
-        let kinds: std::collections::HashSet<_> =
-            (0..64u64).filter_map(|b| p.disk_fault(b)).collect();
-        assert!(kinds.len() > 1, "expected variety, got {kinds:?}");
-        // The replay variant neither crashes nor faults the disk.
-        let r = p.replay();
-        assert!(!r.crashes_at(7));
-        assert!(r.disk_fault(7).is_none());
     }
 
     #[test]

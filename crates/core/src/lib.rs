@@ -60,7 +60,7 @@ pub use engine::{
     ShardStageTimings, StageTimings, TxOutcome,
 };
 pub use exec::{AccessScope, OpCounts, TxFailure};
-pub use faults::{AbortReason, ConsensusFault, DiskFaultKind, FaultPlan};
+pub use faults::{AbortReason, ConsensusFault, FaultPlan};
 pub use locktable::{
     BuilderStats, FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
 };

@@ -33,10 +33,10 @@ use crate::differential::shrink_stream;
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator::{ClientConfig, ClientOutcome, ClientSession, Pipeline, PipelineConfig};
 use prognosticator_bench::json::Json;
-use prognosticator_consensus::{DiskFault as WalDiskFault, NetConfig, RetryPolicy};
+use prognosticator_consensus::{NetConfig, RetryPolicy};
 use prognosticator_core::baselines;
 use crate::chaos_plan::{ChaosEvent, ChaosPlan};
-use prognosticator_core::{DiskFaultKind, Replica, TxRequest};
+use prognosticator_core::{Replica, TxRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -198,12 +198,7 @@ fn apply_event(session: &mut ClientSession, event: &ChaosEvent, base_net: &NetCo
         // `multiplier` times the round size); nothing to do here.
         ChaosEvent::OverloadBurst { .. } => false,
         ChaosEvent::DiskFault { node, kind } => {
-            let fault = match kind {
-                DiskFaultKind::TornFinalFrame => WalDiskFault::TornFinalFrame,
-                DiskFaultKind::FailedFsync => WalDiskFault::FailedFsync,
-                DiskFaultKind::PartialSnapshot => WalDiskFault::PartialSnapshot,
-            };
-            session.pipeline().cluster().arm_disk_fault(node % n, fault);
+            session.pipeline().cluster().arm_disk_fault(node % n, kind);
             false
         }
         // Wire faults target the network front-end; this in-process

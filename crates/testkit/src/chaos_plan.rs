@@ -19,7 +19,7 @@
 //! `SimNet` / `RaftCluster` / `Pipeline` handles and applies each
 //! [`ChaosEvent`] transiently around a round of traffic.
 
-use prognosticator_core::DiskFaultKind;
+use prognosticator_consensus::DiskFault;
 use std::time::Duration;
 
 /// One concrete chaos action, decided for a single round of traffic. The
@@ -64,7 +64,7 @@ pub enum ChaosEvent {
         /// Consensus node index (mod cluster size).
         node: usize,
         /// Which disk fault to arm.
-        kind: DiskFaultKind,
+        kind: DiskFault,
     },
     /// Have wire client `client` (mod population size) misbehave this
     /// round. Only harnesses that drive a network front-end react; the
@@ -358,9 +358,9 @@ impl ChaosPlan {
             ChaosClass::DiskFault => ChaosEvent::DiskFault {
                 node: (r >> 8) as usize & 0xff,
                 kind: match r % 3 {
-                    0 => DiskFaultKind::TornFinalFrame,
-                    1 => DiskFaultKind::FailedFsync,
-                    _ => DiskFaultKind::PartialSnapshot,
+                    0 => DiskFault::TornFinalFrame,
+                    1 => DiskFault::FailedFsync,
+                    _ => DiskFault::PartialSnapshot,
                 },
             },
             ChaosClass::WireClient => ChaosEvent::WireFault {

@@ -22,9 +22,7 @@ use prognosticator::TxBatchCodec;
 use prognosticator_bench::json::Json;
 use prognosticator_consensus::raft::Record;
 use prognosticator_consensus::{DiskFault, DurabilityStats, LogStore, WalStore};
-use prognosticator_core::{
-    baselines, DiskFaultKind, FaultPlan, Replica, TxOutcome, TxRequest,
-};
+use prognosticator_core::{baselines, FaultPlan, Replica, TxOutcome, TxRequest};
 use std::path::PathBuf;
 
 /// Configuration of one crash-recovery check.
@@ -80,7 +78,7 @@ pub struct CrashRecoveryReport {
     /// The batch after whose WAL append the replica was killed.
     pub crash_batch: u64,
     /// The disk fault armed at the crash, if any.
-    pub disk_fault: Option<DiskFaultKind>,
+    pub disk_fault: Option<DiskFault>,
     /// Batches that survived in the WAL (per worker count they are
     /// identical, so this is from the last leg).
     pub durable_batches: usize,
@@ -101,16 +99,6 @@ pub struct RecoveryMismatch {
     pub reproducer: PathBuf,
 }
 
-/// Maps the core fault decision onto the WAL's fault enum (core sits
-/// below consensus in the dependency graph, so it has its own mirror).
-pub fn to_wal_fault(kind: DiskFaultKind) -> DiskFault {
-    match kind {
-        DiskFaultKind::TornFinalFrame => DiskFault::TornFinalFrame,
-        DiskFaultKind::FailedFsync => DiskFault::FailedFsync,
-        DiskFaultKind::PartialSnapshot => DiskFault::PartialSnapshot,
-    }
-}
-
 /// One batch's observable result, projected for comparison.
 type BatchTrace = (Vec<TxOutcome>, usize, usize);
 
@@ -124,6 +112,21 @@ fn splitmix(mut z: u64) -> u64 {
 /// The crash batch for `seed`: deterministic, spread over the run.
 pub fn crash_batch_for(seed: u64, batches: usize) -> u64 {
     splitmix(seed) % batches as u64
+}
+
+/// The disk fault armed at `crash_batch` for `seed`. The draw is the one
+/// `FaultPlan` used to make (its mix of the seed with domain 6 and the
+/// batch), so every recorded crash-recovery seed still arms the same
+/// fault.
+fn disk_fault_for(seed: u64, crash_batch: u64) -> DiskFault {
+    let z = seed
+        .wrapping_add(5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(crash_batch.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    match splitmix(z) % 3 {
+        0 => DiskFault::TornFinalFrame,
+        1 => DiskFault::FailedFsync,
+        _ => DiskFault::PartialSnapshot,
+    }
 }
 
 fn run_reference(
@@ -162,7 +165,7 @@ fn run_crashed(
     plan: &FaultPlan,
     workers: usize,
     shards: usize,
-    disk_fault: Option<DiskFaultKind>,
+    (crash, disk_fault): (u64, Option<DiskFault>),
 ) -> Result<(Vec<BatchTrace>, u64, usize, usize, DurabilityStats, u64), String> {
     let dir = config.wal_dir.join(format!(
         "{}-s{}-w{}-p{}-{}",
@@ -185,10 +188,10 @@ fn run_crashed(
     replica.set_fault_plan(Some(plan.clone()));
     let mut pre_crash: Vec<BatchTrace> = Vec::new();
     for (i, batch) in stream.iter().enumerate() {
-        let at_crash = plan.crashes_at(i as u64);
+        let at_crash = i as u64 == crash;
         if at_crash {
-            if let Some(kind) = disk_fault {
-                wal.arm_fault(to_wal_fault(kind));
+            if let Some(fault) = disk_fault {
+                wal.arm_fault(fault);
             }
         }
         // Durability before visibility: the batch is in the WAL before
@@ -303,13 +306,8 @@ pub fn run_crash_recovery(
     let workload = TestWorkload::new(config.workload);
     let stream = workload.gen_stream(config.seed, config.batches, config.batch_size);
     let crash = crash_batch_for(config.seed, config.batches);
-    let mut plan = FaultPlan::quiet(config.seed)
-        .with_worker_panics(config.worker_panic_per_mille)
-        .with_crash_at(crash);
-    if config.disk_faults {
-        plan = plan.with_disk_faults(1000);
-    }
-    let disk_fault = plan.disk_fault(crash);
+    let plan = FaultPlan::quiet(config.seed).with_worker_panics(config.worker_panic_per_mille);
+    let disk_fault = config.disk_faults.then(|| disk_fault_for(config.seed, crash));
 
     let fail = |description: String| -> Box<RecoveryMismatch> {
         crate::report_oracle_failure("crash-recovery", &description, "recovery-oracle-failure");
@@ -351,7 +349,7 @@ pub fn run_crash_recovery(
             } else {
                 reference = Some((ref_trace.clone(), ref_digest));
             }
-            match run_crashed(config, &workload, &stream, &plan, workers, shards, disk_fault) {
+            match run_crashed(config, &workload, &stream, &plan, workers, shards, (crash, disk_fault)) {
                 Ok((trace, digest, durable, caught_up, leg_stats, leg_replay_us)) => {
                     if trace != ref_trace {
                         return Err(fail(format!(
@@ -389,4 +387,28 @@ pub fn run_crash_recovery(
         stats,
         replay_us,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Crash point and disk fault are what `core::FaultPlan` drew for
+    /// these seeds before the decision moved here: a recorded reproducer
+    /// must keep naming the same crash.
+    #[test]
+    fn recorded_seeds_arm_the_same_crash_and_fault() {
+        use DiskFault::{FailedFsync, PartialSnapshot, TornFinalFrame};
+        for (seed, crash, fault) in [
+            (0x5B_000, 0, TornFinalFrame),
+            (0x5B_001, 2, FailedFsync),
+            (0x5B_002, 1, TornFinalFrame),
+            (0x5B_003, 5, PartialSnapshot),
+            (7, 3, FailedFsync),
+            (33, 0, PartialSnapshot),
+        ] {
+            assert_eq!(crash_batch_for(seed, 6), crash, "seed {seed:#x}");
+            assert_eq!(disk_fault_for(seed, crash), fault, "seed {seed:#x}");
+        }
+    }
 }

@@ -67,14 +67,15 @@ fn pump(pipeline: &mut Pipeline, stream: &[Vec<TxRequest>]) {
 }
 
 /// Replays a committed record stream through a fresh replica with a
-/// stats collector attached, returning the final digest and the false
-/// lock conflicts the replay attributed.
+/// stats collector attached, returning the final digest, the false lock
+/// conflicts the replay attributed, and how many more keys it predicted
+/// than it touched.
 fn replay(
     workload: &TestWorkload,
     records: Vec<LogRecord>,
     workers: usize,
     shards: usize,
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let collector = Arc::new(StatsCollector::new(AdaptConfig::default()));
     let mut replica = Replica::with_store(
         SchedulerConfig { shards, ..baselines::mq_mf(workers) },
@@ -85,7 +86,13 @@ fn replay(
     replica.execute_records(records, 1);
     let digest = replica.state_digest();
     replica.shutdown();
-    (digest, collector.false_conflicts())
+    let rows = collector.snapshot();
+    let surplus = rows
+        .iter()
+        .map(|r| r.predicted_keys)
+        .sum::<u64>()
+        .saturating_sub(rows.iter().map(|r| r.observed_keys).sum());
+    (digest, collector.false_conflicts(), surplus)
 }
 
 /// Strips specialization swaps, leaving the static batch stream.
@@ -150,11 +157,13 @@ fn adaptation_loop_closes_end_to_end() {
     // *same* committed batches. (4) while the digests stay identical —
     // specialization changes locking, never results.
     let fleet_digest = pipeline.digests()[0];
-    let (spec_digest, spec_fc) = replay(&workload, records.clone(), 2, 2);
-    let (static_digest, static_fc) = replay(&workload, batches_only(&records), 2, 2);
+    let (spec_digest, spec_fc, _) = replay(&workload, records.clone(), 2, 2);
+    let (static_digest, static_fc, static_surplus) =
+        replay(&workload, batches_only(&records), 2, 2);
     assert_eq!(spec_digest, fleet_digest, "specialized replay diverged from the fleet");
     assert_eq!(static_digest, fleet_digest, "static replay diverged from the fleet");
     assert!(static_fc > 0, "the widened scan never produced a false conflict statically");
+    assert!(static_surplus > 0, "the adaptive workload must over-approximate statically");
     assert!(
         spec_fc < static_fc,
         "specialization did not reduce false conflicts: {spec_fc} (adaptive) vs \
@@ -228,11 +237,11 @@ fn specialization_determinism_matrix() {
         let (records, _set) = records_with_midstream_swap(&workload, seed);
         let static_records = batches_only(&records);
 
-        let (reference, _) = replay(&workload, records.clone(), 1, 1);
+        let (reference, _, _) = replay(&workload, records.clone(), 1, 1);
         for workers in [1usize, 2, 4] {
             for shards in [1usize, 2, 4, 8] {
-                let (on, _) = replay(&workload, records.clone(), workers, shards);
-                let (off, _) = replay(&workload, static_records.clone(), workers, shards);
+                let (on, _, _) = replay(&workload, records.clone(), workers, shards);
+                let (off, _, _) = replay(&workload, static_records.clone(), workers, shards);
                 assert_eq!(
                     on, reference,
                     "adaptation-on digest diverged: seed={seed:#x} workers={workers} \

@@ -44,9 +44,9 @@ fn sweep(workload: WorkloadKind, seed_base: u64) -> HashSet<(u64, Option<&'stati
             "durable + caught-up must cover the stream exactly"
         );
         let fault = report.disk_fault.map(|f| match f {
-            prognosticator_core::DiskFaultKind::TornFinalFrame => "torn",
-            prognosticator_core::DiskFaultKind::FailedFsync => "fsync",
-            prognosticator_core::DiskFaultKind::PartialSnapshot => "snapshot",
+            prognosticator_consensus::DiskFault::TornFinalFrame => "torn",
+            prognosticator_consensus::DiskFault::FailedFsync => "fsync",
+            prognosticator_consensus::DiskFault::PartialSnapshot => "snapshot",
         });
         covered.insert((report.crash_batch, fault));
     }

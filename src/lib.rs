@@ -34,7 +34,6 @@ pub mod wal_codec;
 pub use client::{ClientConfig, ClientOutcome, ClientReport, ClientSession};
 pub use health::{HealthMonitor, HealthState};
 pub use pipeline::{BatchEvent, Pipeline, PipelineConfig, PipelineError};
-pub use server::loadgen::{OpenLoopConfig, OpenLoopReport};
 pub use server::wire::{WireClient, WireOutcome, WireResponse};
 pub use server::{Server, ServerConfig, ServerReport, ServerStats};
 pub use wal_codec::TxBatchCodec;

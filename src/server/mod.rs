@@ -41,7 +41,6 @@
 //! the load-bearing invariant, asserted by the wire fuzzer:
 //! `requests == responses + dropped_responses` at all times after drain.
 
-pub mod loadgen;
 pub mod wire;
 
 use crate::client::{ClientConfig, ClientOutcome, ClientSession};
