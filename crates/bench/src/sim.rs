@@ -26,8 +26,7 @@
 use prognosticator_core::baselines::SeqEngine;
 use prognosticator_core::sched::{self, RoundAction, RunMode, Snapshot, Tx, TxState, TxStatus};
 use prognosticator_core::{
-    BatchOutcome, Catalog, FaultPlan, OpCounts, SchedulerConfig, SpecializationSet, TxClass,
-    TxRequest,
+    BatchOutcome, Catalog, FaultPlan, OpCounts, SchedulerConfig, TxClass, TxRequest,
 };
 use prognosticator_storage::EpochStore;
 use prognosticator_txir::Key;
@@ -123,8 +122,6 @@ pub struct SimReplica {
     cost: CostModel,
     carry_over: Vec<TxRequest>,
     fault_plan: Option<FaultPlan>,
-    /// The simulator installs no specializations.
-    specs: SpecializationSet,
     batches_executed: u64,
     /// Previous batch's update-phase span, for the prepare-ahead overlap
     /// report (classification of batch `N+1` hides behind it).
@@ -146,7 +143,6 @@ impl SimReplica {
             cost,
             carry_over: Vec::new(),
             fault_plan: None,
-            specs: SpecializationSet::empty(),
             batches_executed: 0,
             prev_execute_ns: 0,
         }
@@ -206,7 +202,7 @@ impl SimReplica {
         outcome: &mut BatchOutcome,
     ) {
         let mode = self.config.prepare;
-        let ops = sched::prepare(&self.store, &tx.0, &mut tx.1, mode, &self.specs, snapshot);
+        let ops = sched::prepare(&self.store, &tx.0, &mut tx.1, mode, snapshot);
         let prep_cost = self.cost.prepare_ns(ops);
         preparers[earliest(preparers)] += prep_cost;
         outcome.prepare_ns_total += prep_cost;
@@ -311,7 +307,7 @@ impl SimReplica {
             phase_end = phase_end.max(finish);
             match status {
                 TxStatus::Committed(_) => txs[i].1.finished_ns = finish.max(1),
-                TxStatus::Retry(_) => {
+                TxStatus::Retry => {
                     outcome.aborts += 1;
                     if txs[i].1.first_fail_ns == 0 {
                         txs[i].1.first_fail_ns = finish.max(1);
@@ -354,9 +350,7 @@ impl SimReplica {
         // --- Classification (queuer, serial) ---
         let mut txs: Vec<(Tx, TxState)> = batch
             .into_iter()
-            .map(|req| {
-                sched::classify(config.granularity, config.prepare, &self.catalog, &self.specs, req)
-            })
+            .map(|req| sched::classify(config.granularity, config.prepare, &self.catalog, req))
             .collect();
         let queuer_busy_ns = txs.len() as u64 * cost.classify_ns;
         outcome.stage.predict_ns = queuer_busy_ns;

@@ -17,7 +17,6 @@ use crate::engine::{BatchOutcome, FailedPolicy, Granularity, PrepareMode, Schedu
 use crate::exec::OpCounts;
 use crate::sched::{self, RunMode, TxStatus};
 use prognosticator_storage::EpochStore;
-use prognosticator_symexec::SpecializationSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,18 +132,12 @@ impl SeqEngine {
         mut clock: impl FnMut(OpCounts) -> u64,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome { batch_size: batch.len(), rounds: 1, ..Default::default() };
-        let specs = SpecializationSet::empty();
         for req in batch {
             // SEQ is the serial re-execution path applied to every
             // transaction; reconnaissance-mode classification predicts
             // nothing, which is all it needs.
-            let (tx, mut state) = sched::classify(
-                Granularity::Key,
-                PrepareMode::Reconnaissance,
-                &self.catalog,
-                &specs,
-                req,
-            );
+            let (tx, mut state) =
+                sched::classify(Granularity::Key, PrepareMode::Reconnaissance, &self.catalog, req);
             let (status, ops) = sched::run_tx(&self.store, &tx, &mut state, RunMode::Serial, None);
             let now = clock(ops);
             if let TxStatus::Committed(_) = status {

@@ -25,7 +25,7 @@
 //! and no clock. This module is the threaded *driver* of that core: it
 //! owns the worker pool and its barriers, the per-shard arena lock tables
 //! and the cross-shard exchange, the wall-clock stage timers, and the
-//! observation hooks — i.e. *when and where* each core function runs.
+//! flight-recorder hooks — i.e. *when and where* each core function runs.
 //!
 //! **Staged lifecycle.** Batch processing is split into two explicit
 //! stages: [`Engine::prepare`] classifies the batch's transactions from
@@ -53,7 +53,6 @@
 //! [`BatchOutcome::outcomes`]. Only unattributable panics (engine bugs,
 //! catalog/profile mismatches) remain batch-fatal.
 
-use crate::adapt::{AdaptSink, ObservedVerdict, TxObservation};
 use crate::catalog::{Catalog, TxRequest};
 use crate::exec::AccessLog;
 use crate::faults::{AbortReason, FaultPlan};
@@ -65,9 +64,8 @@ use crossbeam::utils::Backoff;
 use parking_lot::{Condvar, Mutex, RwLock};
 use prognosticator_obs::{Counter, Event, FlightRecorder, Histogram, Registry};
 use prognosticator_storage::{EpochStore, LatencyConfig};
-use prognosticator_symexec::{fingerprint_inputs, SpecializationSet, TxClass};
+use prognosticator_symexec::TxClass;
 use prognosticator_txir::{Key, Value};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -311,26 +309,12 @@ pub struct BatchOutcome {
     /// Per-shard queue/execute split, indexed by physical shard (length =
     /// the engine's configured shard count; empty from the simulator).
     pub shard_stage: Vec<ShardStageTimings>,
-    /// Keys the committed update transactions' (possibly specialized)
-    /// predictions locked, summed. Deterministic: a pure function of the
-    /// batch contents and the installed specialization set.
+    /// Keys the committed update transactions' predictions locked,
+    /// summed. Deterministic: a pure function of the batch contents.
     pub predicted_keys: u64,
     /// Distinct keys the committed update transactions concretely
     /// touched, summed. Deterministic (see `predicted_keys`).
     pub observed_keys: u64,
-    /// Predicted keys that were lock-contended but never concretely
-    /// touched, summed over committed update transactions — the batch's
-    /// false lock conflicts. Collected only while an adaptation sink is
-    /// attached (zero otherwise); deterministic when collected.
-    pub false_conflicts: u64,
-    /// Dependent transactions whose prediction came from the indirect
-    /// specialization cache (pivot re-check passed).
-    pub spec_cache_hits: u64,
-    /// Keys dropped from predictions by range-narrowing specializations.
-    pub spec_narrowed: u64,
-    /// Version of the specialization set the batch was classified under
-    /// (0 = static profiles only).
-    pub spec_version: u64,
     /// Results emitted by read-only transactions, indexed by batch
     /// position (`None` for update transactions and carried-over ones).
     pub outputs: Vec<Option<Vec<Value>>>,
@@ -380,11 +364,6 @@ pub struct PreparedBatch {
     dt_idxs: Vec<TxIdx>,
     it_idxs: Vec<TxIdx>,
     predict_ns: u64,
-    /// The specialization set the batch was classified under, pinned at
-    /// classification so execute sees the same overlay even if a swap is
-    /// installed in between (the replica only swaps at drain points, but
-    /// the pin makes the outcome a pure function of this batch + set).
-    specs: Arc<SpecializationSet>,
 }
 
 impl PreparedBatch {
@@ -410,7 +389,7 @@ impl std::fmt::Debug for PreparedBatch {
     }
 }
 
-/// The observation and fault-injection hooks a batch runs under. The
+/// The recording and fault-injection hooks a batch runs under. The
 /// engine holds one shared value, replaced whole by the setters and
 /// snapshotted once per batch, so a batch sees one consistent set and the
 /// hot path reads no lock. Detached hooks cost one branch at each site.
@@ -418,8 +397,6 @@ impl std::fmt::Debug for PreparedBatch {
 struct BatchHooks {
     /// Flight recorder; events carry only logical coordinates.
     recorder: Option<Arc<FlightRecorder>>,
-    /// Adaptation sink fed execute-path observations.
-    adapt: Option<Arc<dyn AdaptSink>>,
     /// Seeded fault-injection plan.
     faults: Option<FaultPlan>,
 }
@@ -450,14 +427,7 @@ struct BatchWork {
     /// This batch's index in the replica's lifetime (the fault plan's
     /// batch coordinate).
     batch_index: u64,
-    /// Specialization set this batch was classified under.
-    specs: Arc<SpecializationSet>,
     hooks: Arc<BatchHooks>,
-    /// Union over rounds of lock-contended keys, collected at freeze time
-    /// only while an adaptation sink is attached — the "contended" leg of
-    /// false-conflict attribution. Derived from the frozen lock tables,
-    /// so deterministic.
-    contended: RwLock<HashSet<Key>>,
     /// Worker wait episodes (executing → spinning transitions) during the
     /// update phase. Wall-clock-dependent; metrics only.
     lock_waits: AtomicU64,
@@ -556,8 +526,6 @@ struct EngineMetrics {
     tx_aborted: Arc<Counter>,
     lock_waits: Arc<Counter>,
     lock_contended_keys: Arc<Counter>,
-    false_conflicts: Arc<Counter>,
-    spec_cache_hits: Arc<Counter>,
     single_shard_txs: Arc<Counter>,
     cross_shard_txs: Arc<Counter>,
     batch_queue_us: Arc<Histogram>,
@@ -576,8 +544,6 @@ impl EngineMetrics {
             tx_aborted: r.counter("engine.tx_aborted"),
             lock_waits: r.counter("engine.lock_waits"),
             lock_contended_keys: r.counter("engine.lock_contended_keys"),
-            false_conflicts: r.counter("engine.false_conflicts"),
-            spec_cache_hits: r.counter("engine.spec_cache_hits"),
             single_shard_txs: r.counter("engine.single_shard_txs"),
             cross_shard_txs: r.counter("engine.cross_shard_txs"),
             batch_queue_us: r.histogram("engine.batch_queue_us"),
@@ -596,8 +562,6 @@ impl EngineMetrics {
         self.tx_committed.add(outcome.committed as u64);
         self.tx_aborted.add(outcome.aborted as u64);
         self.lock_waits.add(outcome.stage.lock_waits);
-        self.false_conflicts.add(outcome.false_conflicts);
-        self.spec_cache_hits.add(outcome.spec_cache_hits);
         self.lock_contended_keys.add(outcome.stage.lock_contended_keys);
         self.batch_queue_us.record(outcome.stage.queue_ns / 1_000);
         self.batch_execute_us.record(outcome.stage.execute_ns / 1_000);
@@ -642,19 +606,9 @@ fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     }
 }
 
-/// Notes a frozen table's contended queues: into the false-conflict
-/// attribution set while an adaptation sink is attached (the waiter list
-/// names every contended queue at least once), and as `LockWait` flight
-/// events while recording.
+/// Records a frozen table's contended queues as `LockWait` flight events
+/// while recording.
 fn note_waiters(work: &BatchWork, table: &LockTable) {
-    if work.hooks.adapt.is_some() {
-        let mut contended = work.contended.write();
-        for (key, _, _) in table.waiters() {
-            if !contended.contains(key) {
-                contended.insert(key.clone());
-            }
-        }
-    }
     if let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) {
         let batch = work.batch_index;
         for (key, tx, depth) in table.waiters() {
@@ -698,11 +652,8 @@ pub struct Engine {
     queuer: Mutex<QueuerState>,
     /// Registry handles (see [`EngineMetrics`]).
     metrics: EngineMetrics,
-    /// Recorder, adaptation sink and fault plan (see [`BatchHooks`]).
+    /// Recorder and fault plan (see [`BatchHooks`]).
     hooks: RwLock<Arc<BatchHooks>>,
-    /// The installed specialization set. Shared (via `Arc`) with the
-    /// prepare-ahead queuer thread, which snapshots it per batch.
-    specializations: Arc<RwLock<Arc<SpecializationSet>>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -755,7 +706,6 @@ impl Engine {
             queuer: Mutex::new(QueuerState::default()),
             metrics: EngineMetrics::new(router.shards()),
             hooks: RwLock::new(Arc::default()),
-            specializations: Arc::new(RwLock::new(Arc::new(SpecializationSet::empty()))),
         }
     }
 
@@ -782,33 +732,6 @@ impl Engine {
     /// The attached flight recorder, if any.
     pub fn recorder(&self) -> Option<Arc<FlightRecorder>> {
         self.hooks.read().recorder.clone()
-    }
-
-    /// Attaches (or detaches) an adaptation sink. Subsequent batches feed
-    /// it execute-path observations ([`TxObservation`]); observing never
-    /// changes outcomes.
-    pub fn set_adapt_sink(&self, sink: Option<Arc<dyn AdaptSink>>) {
-        self.update_hooks(|hooks| hooks.adapt = sink);
-    }
-
-    /// Installs a specialization set; batches classified from now on
-    /// predict under it. **Determinism contract:** callers must only
-    /// install sets delivered as committed [`crate::adapt::LogRecord::Specialize`]
-    /// entries, at their log position, with no batch in flight — the
-    /// replica's record loop and recovery replay both guarantee this.
-    pub fn install_specializations(&self, set: SpecializationSet) {
-        let version = set.version;
-        let programs = set.programs.len() as u64;
-        *self.specializations.write() = Arc::new(set);
-        if let Some(rec) = self.recorder() {
-            let batch = self.batches_executed();
-            rec.record(|| Event::SpecializationActivated { batch, version, programs });
-        }
-    }
-
-    /// The currently installed specialization set.
-    pub fn specializations(&self) -> Arc<SpecializationSet> {
-        self.specializations.read().clone()
     }
 
     /// Installs (or clears) a deterministic fault-injection plan applied
@@ -848,9 +771,8 @@ impl Engine {
     /// run while an earlier batch is still executing without changing any
     /// outcome.
     pub fn prepare(&self, batch: Vec<TxRequest>) -> PreparedBatch {
-        let specs = self.specializations.read().clone();
         let config = self.config();
-        prepare_batch(config.granularity, config.prepare, &self.catalog, specs, batch)
+        prepare_batch(config.granularity, config.prepare, &self.catalog, batch)
     }
 
     /// Hands `batch` to the dedicated queuer thread for classification.
@@ -867,20 +789,15 @@ impl Engine {
                 let catalog = Arc::clone(&self.catalog);
                 let granularity = self.config().granularity;
                 let mode = self.config().prepare;
-                let specializations = Arc::clone(&self.specializations);
                 // The thread owns only what classification needs — no
                 // engine reference, so engine teardown can never race it.
-                // The specialization slot is shared: each batch snapshots
-                // the set current at its classification, which the replica
-                // only swaps at drain points (no batch in flight).
                 let handle = std::thread::Builder::new()
                     .name("prognosticator-queuer".to_string())
                     .spawn(move || {
                         while let Ok(batch) = submit_rx.recv() {
                             let result =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let specs = specializations.read().clone();
-                                    prepare_batch(granularity, mode, &catalog, specs, batch)
+                                    prepare_batch(granularity, mode, &catalog, batch)
                                 }))
                                 .map_err(|payload| panic_message(payload.as_ref()));
                             if done_tx.send(result).is_err() {
@@ -971,9 +888,6 @@ impl Engine {
         self.commit_epoch(&work, &rounds, &mut outcome);
         self.assemble_outcome(&work, &rounds, &mut outcome);
         self.metrics.publish(&outcome);
-        if let Some(sink) = &work.hooks.adapt {
-            sink.observe_batch(work.batch_index);
-        }
         outcome
     }
 
@@ -981,7 +895,7 @@ impl Engine {
     /// ROTs and dependent transactions to the pool and wakes it.
     fn begin_batch(&self, prepared: PreparedBatch) -> (Arc<BatchWork>, Rounds, BatchOutcome) {
         let batch_start = Instant::now();
-        let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, specs } = prepared;
+        let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns } = prepared;
         let batch_size = slots.len();
         let batch_index = self.batches_executed.fetch_add(1, Ordering::AcqRel);
         let hooks = Arc::clone(&self.hooks.read());
@@ -1012,9 +926,7 @@ impl Engine {
             prepare_ns: AtomicU64::new(0),
             prepare_count: AtomicU64::new(0),
             batch_index,
-            specs,
             hooks,
-            contended: RwLock::new(HashSet::new()),
             lock_waits: AtomicU64::new(0),
             shard_exec_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             fatal: AtomicBool::new(false),
@@ -1267,7 +1179,6 @@ impl Engine {
                 execute_ns: exec.load(Ordering::Acquire),
             })
             .collect();
-        outcome.spec_version = work.specs.version;
         for slot in &work.slots {
             sched::fold_tx(outcome, &mut slot.state.lock());
         }
@@ -1334,7 +1245,6 @@ fn prepare_batch(
     granularity: Granularity,
     prepare: PrepareMode,
     catalog: &Catalog,
-    specs: Arc<SpecializationSet>,
     batch: Vec<TxRequest>,
 ) -> PreparedBatch {
     let t0 = Instant::now();
@@ -1343,7 +1253,7 @@ fn prepare_batch(
     let mut dt_idxs: Vec<TxIdx> = Vec::new();
     let mut it_idxs: Vec<TxIdx> = Vec::new();
     for (i, req) in batch.into_iter().enumerate() {
-        let (tx, state) = sched::classify(granularity, prepare, catalog, &specs, req);
+        let (tx, state) = sched::classify(granularity, prepare, catalog, req);
         match tx.class {
             TxClass::ReadOnly => rot_idxs.push(i as TxIdx),
             TxClass::Dependent => dt_idxs.push(i as TxIdx),
@@ -1352,7 +1262,7 @@ fn prepare_batch(
         slots.push(TxSlot { tx, state: Mutex::new(state) });
     }
     let predict_ns = elapsed_ns(t0);
-    PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, specs }
+    PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns }
 }
 
 /// Prepares slot `i` against the round's snapshot (the staleness-adjusted
@@ -1366,13 +1276,13 @@ fn prepare_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: PrepareMod
     } else {
         Snapshot::Epoch(work.prepare_epoch)
     };
-    sched::prepare(store, &slot.tx, &mut slot.state.lock(), mode, &work.specs, snapshot);
+    sched::prepare(store, &slot.tx, &mut slot.state.lock(), mode, snapshot);
     work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
     work.prepare_count.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Runs slot `i` through [`sched::run_tx`] and books the verdict: commit
-/// time and observations, or a place on the failed (retry) list. Aborts
+/// time and access events, or a place on the failed (retry) list. Aborts
 /// are recorded in the slot by the core.
 fn run_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: RunMode) {
     let slot = &work.slots[i as usize];
@@ -1380,16 +1290,10 @@ fn run_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: RunMode) {
     let faults = work.hooks.faults.as_ref().map(|plan| (plan, work.batch_index, i));
     match sched::run_tx(store, &slot.tx, &mut state, mode, faults).0 {
         TxStatus::Committed(log) => {
-            if !matches!(mode, RunMode::Snapshot(_)) {
-                observe_commit(work, &slot.tx, &mut state, &log);
-            }
             record_access_log(work, i, &log);
             state.finished_ns = work.now_ns().max(1);
         }
-        TxStatus::Retry(verdict) => {
-            observe_retry(work, &slot.tx, &state, verdict);
-            work.failed.lock().push(i);
-        }
+        TxStatus::Retry => work.failed.lock().push(i),
         TxStatus::Aborted => {}
     }
 }
@@ -1480,60 +1384,5 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
                 break;
             }
         }
-    }
-}
-
-/// Delivers a committed update transaction's full [`TxObservation`] to
-/// the adaptation sink, when one is attached, and books its
-/// false-conflict count (predicted ∩ contended − touched) in the slot.
-fn observe_commit(work: &BatchWork, tx: &Tx, state: &mut TxState, log: &AccessLog) {
-    let Some(sink) = &work.hooks.adapt else { return };
-    let touched = sched::touched_keys(log);
-    let predicted = match (&tx.table_scope, &state.prediction) {
-        // Table-granularity slots predict no keys.
-        (None, Some(p)) => p.key_set(),
-        _ => Vec::new(),
-    };
-    state.false_locked = {
-        let contended = work.contended.read();
-        predicted
-            .iter()
-            .filter(|k| contended.contains(*k) && touched.binary_search(k).is_err())
-            .count() as u64
-    };
-    sink.observe_tx(TxObservation {
-        predicted_keys: state.predicted_keys,
-        observed_keys: state.observed_keys,
-        false_locked: state.false_locked,
-        touched: touched.into_iter().cloned().collect(),
-        prediction: state.prediction.clone(),
-        ..observation(tx, state, ObservedVerdict::Committed)
-    });
-}
-
-/// Delivers a retry (pivot-miss / scope-miss) observation for a failed
-/// attempt, when a sink is attached.
-fn observe_retry(work: &BatchWork, tx: &Tx, state: &TxState, verdict: ObservedVerdict) {
-    if let Some(sink) = &work.hooks.adapt {
-        sink.observe_tx(observation(tx, state, verdict));
-    }
-}
-
-/// The fields every observation of `tx` carries; commit observations
-/// fill in the key sets on top.
-fn observation(tx: &Tx, state: &TxState, verdict: ObservedVerdict) -> TxObservation {
-    TxObservation {
-        program: tx.program.name().to_string(),
-        fingerprint: fingerprint_inputs(&tx.req.inputs),
-        inputs: tx.req.inputs.clone(),
-        verdict,
-        predicted_keys: 0,
-        observed_keys: 0,
-        pivot_count: state.prediction.as_ref().map_or(0, |p| p.pivot_observations.len() as u64),
-        false_locked: 0,
-        cache_hit: state.spec_cache_hit,
-        narrowed_dropped: state.spec_narrowed,
-        touched: Vec::new(),
-        prediction: None,
     }
 }

@@ -29,6 +29,29 @@
 
 use std::time::Duration;
 
+/// The SplitMix64 output function: two xor-shift-multiply rounds.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One SplitMix64 step: `z` advanced by the golden gamma, then finalized.
+pub fn splitmix64(z: u64) -> u64 {
+    finalize(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// SplitMix64-style mix of a seed with the coordinates `(domain, a, b)`.
+/// Pure: same inputs, same output, on every replica. The one mixer behind
+/// [`FaultPlan`]'s decisions and the testkit's seeded draws.
+pub fn mix(seed: u64, domain: u64, a: u64, b: u64) -> u64 {
+    finalize(
+        seed.wrapping_add(domain.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB)),
+    )
+}
+
 /// Marker prefix of injected-panic payloads, used to tell an injected
 /// fault apart from a genuine workload bug when a caught panic is
 /// converted into an abort reason.
@@ -174,17 +197,9 @@ impl FaultPlan {
         self.seed
     }
 
-    /// SplitMix64-style mix of the plan seed with fault-domain coordinates.
-    /// Pure: same inputs, same output, on every replica.
+    /// [`mix`] of the plan seed with fault-domain coordinates.
     fn mix(&self, domain: u64, a: u64, b: u64) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add(domain.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(self.seed, domain, a, b)
     }
 
     fn roll(&self, domain: u64, a: u64, b: u64, per_mille: u16) -> bool {

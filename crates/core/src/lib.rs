@@ -41,7 +41,6 @@
 //! # }
 //! ```
 
-pub mod adapt;
 pub mod baselines;
 pub mod catalog;
 pub mod engine;
@@ -53,7 +52,6 @@ pub mod replica;
 pub mod sched;
 pub mod shard;
 
-pub use adapt::{AdaptSink, LogRecord, ObservedVerdict, TxObservation};
 pub use catalog::{Catalog, CatalogEntry, ProgId, TxRequest};
 pub use engine::{
     BatchOutcome, Engine, FailedPolicy, Granularity, PreparedBatch, PrepareMode, SchedulerConfig,
@@ -65,8 +63,6 @@ pub use locktable::{
     BuilderStats, FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
 };
 pub use pipelined::PipelinedExecutor;
-pub use replica::{RecoveryReport, Replica};
+pub use replica::{LogRecord, RecoveryReport, Replica};
 pub use shard::{ShardRoute, ShardRouter};
-pub use prognosticator_symexec::{
-    CachedPrediction, ProfileSpecialization, ProgSpecialization, SpecializationSet, TxClass,
-};
+pub use prognosticator_symexec::TxClass;

@@ -1,14 +1,22 @@
 //! A replica: store + engine + carried-over transaction handling.
 
-use crate::adapt::LogRecord;
 use crate::catalog::{Catalog, TxRequest};
 use crate::engine::{BatchOutcome, Engine, SchedulerConfig};
 use crate::faults::FaultPlan;
 use crate::pipelined::PipelinedExecutor;
 use prognosticator_obs::{Event, FlightRecorder};
 use prognosticator_storage::EpochStore;
-use prognosticator_symexec::SpecializationSet;
 use std::sync::Arc;
+
+/// One entry of the replicated log: an ordered transaction batch. It
+/// stays an enum, not a bare `Vec<TxRequest>`, because it is the log's
+/// named payload type — the consensus cluster, the WAL codec and its
+/// one-byte record tag are all keyed by it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LogRecord {
+    /// An ordered transaction batch.
+    Batch(Vec<TxRequest>),
+}
 
 /// A full replica of the deterministic database: its own store and engine.
 ///
@@ -49,14 +57,11 @@ impl Replica {
         Self::with_store(config, catalog, Arc::new(EpochStore::new()))
     }
 
-    /// Rebuilds a replica from the durable committed-record log.
+    /// Rebuilds a replica from the durable committed batch log.
     ///
     /// In a deterministic database the ordered log *is* the state:
     /// recovery is nothing but replaying the committed prefix against a
-    /// fresh store. Batch records re-execute; specialization-swap records
-    /// re-install their set at the identical log position, so every
-    /// replayed batch predicts with the same overlay the pre-crash run
-    /// used. `plan` is the fault plan the pre-crash run executed
+    /// fresh store. `plan` is the fault plan the pre-crash run executed
     /// under, if any — replay runs its [`FaultPlan::replay`] variant, so
     /// no faults are re-injected (no worker unwinds, spikes, or network
     /// disruptions) yet every originally injected abort is reproduced
@@ -72,31 +77,23 @@ impl Replica {
         config: SchedulerConfig,
         catalog: Arc<Catalog>,
         store: Arc<EpochStore>,
-        committed: Vec<LogRecord>,
+        committed: Vec<Vec<TxRequest>>,
         plan: Option<&FaultPlan>,
         expected_digest: Option<u64>,
     ) -> (Self, RecoveryReport) {
         let started = std::time::Instant::now();
         let mut replica = Self::with_store(config, catalog, store);
         replica.set_fault_plan(plan.map(|p| p.clone().replay()));
-        let batches_replayed = committed.iter().filter(|r| r.as_batch().is_some()).count();
-        let transactions = committed
-            .iter()
-            .map(|r| r.as_batch().map_or(0, Vec::len))
-            .sum();
+        let batches_replayed = committed.len();
+        let transactions = committed.iter().map(Vec::len).sum();
         let mut outcomes = Vec::with_capacity(batches_replayed);
-        for record in committed {
-            match record {
-                LogRecord::Batch(batch) => {
-                    let txs = batch.len() as u64;
-                    let index = replica.engine.batches_executed();
-                    if let Some(rec) = replica.engine.recorder() {
-                        rec.record(|| Event::RecoveryReplay { batch: index, txs });
-                    }
-                    outcomes.push(replica.execute_batch(batch));
-                }
-                LogRecord::Specialize(set) => replica.install_specializations(set),
+        for batch in committed {
+            let txs = batch.len() as u64;
+            let index = replica.engine.batches_executed();
+            if let Some(rec) = replica.engine.recorder() {
+                rec.record(|| Event::RecoveryReplay { batch: index, txs });
             }
+            outcomes.push(replica.execute_batch(batch));
         }
         // Recovery ends where the crash happened; new live batches run
         // under the original plan again, which the caller reinstalls.
@@ -194,44 +191,6 @@ impl Replica {
     ) -> Vec<BatchOutcome> {
         let driver = PipelinedExecutor::new(Arc::clone(&self.engine), depth);
         driver.execute_stream(batches, &mut self.carry_over)
-    }
-
-    /// Executes a run of committed log records in order. Batch records
-    /// stream through the prepare-ahead pipeline exactly like
-    /// [`Replica::execute_stream`]; a specialization-swap record is a
-    /// drain point — every earlier batch finishes (and its prepare-ahead
-    /// classification with it) before the set installs, so the batches a
-    /// set applies to are exactly those after its log position, on every
-    /// replica, at every pipeline depth.
-    pub fn execute_records(
-        &mut self,
-        records: Vec<LogRecord>,
-        depth: usize,
-    ) -> Vec<BatchOutcome> {
-        let mut outcomes = Vec::new();
-        let mut run: Vec<Vec<TxRequest>> = Vec::new();
-        for record in records {
-            match record {
-                LogRecord::Batch(batch) => run.push(batch),
-                LogRecord::Specialize(set) => {
-                    if !run.is_empty() {
-                        outcomes.extend(self.execute_stream(std::mem::take(&mut run), depth));
-                    }
-                    self.install_specializations(set);
-                }
-            }
-        }
-        if !run.is_empty() {
-            outcomes.extend(self.execute_stream(run, depth));
-        }
-        outcomes
-    }
-
-    /// Installs a committed specialization set on the engine. Must only
-    /// be called at the set's log position with no batch in flight (see
-    /// [`Replica::execute_records`]).
-    pub fn install_specializations(&self, set: SpecializationSet) {
-        self.engine.install_specializations(set);
     }
 
     /// Transactions still waiting to be retried.

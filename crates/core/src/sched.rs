@@ -1,17 +1,16 @@
 //! The scheduling core: what one transaction *means*, decided once.
 //!
 //! Everything here is deterministic, thread-free and clock-free: a pure
-//! function of the agreed batch, the catalog, the installed
-//! specialization set, the seeded fault plan and the store state the
-//! caller presents. Two drivers walk a batch through these functions —
-//! the threaded [`crate::Engine`] (real workers, wall clock, arena lock
-//! tables) and the bench simulator (virtual clock, its own per-key
-//! queues) — and differ only in *when* each call happens, never in what
-//! it decides:
+//! function of the agreed batch, the catalog, the seeded fault plan and
+//! the store state the caller presents. Two drivers walk a batch through
+//! these functions — the threaded [`crate::Engine`] (real workers, wall
+//! clock, arena lock tables) and the bench simulator (virtual clock, its
+//! own per-key queues) — and differ only in *when* each call happens,
+//! never in what it decides:
 //!
 //! * [`classify`] — request → class, direct prediction, table scope;
 //! * [`prepare`] — dependent-transaction key-set from the profile's
-//!   pivots or from reconnaissance, under the specialization overlay;
+//!   pivots or from reconnaissance;
 //! * [`lock_keys`] — the keys a prepared transaction enqueues on;
 //! * [`run_tx`] — run one transaction: fault replay/injection, panic
 //!   containment, and the commit / deterministic-abort / retry verdict;
@@ -21,17 +20,13 @@
 //! The execution functions return plain [`OpCounts`] beside their
 //! result; the engine drops them, the simulator prices them.
 
-use crate::adapt::ObservedVerdict;
 use crate::catalog::{Catalog, TxRequest};
 use crate::engine::{BatchOutcome, FailedPolicy, Granularity, PrepareMode, TxOutcome};
 use crate::exec::{self, AccessLog, AccessScope, ExecView, Executed, OpCounts, TxFailure};
 use crate::faults::{AbortReason, FaultPlan};
 use crate::locktable::TxIdx;
 use prognosticator_storage::EpochStore;
-use prognosticator_symexec::{
-    apply_narrowing, predict_specialized, PredictError, Prediction, Profile, ProgSpecialization,
-    SpecializationSet, TxClass,
-};
+use prognosticator_symexec::{PredictError, Prediction, Profile, TxClass};
 use prognosticator_txir::{Key, Program, Value};
 use std::sync::Arc;
 
@@ -49,7 +44,7 @@ pub struct Tx {
     pub program: Arc<Program>,
     /// Its symbolic-execution profile (`None` when SE was capped).
     pub profile: Option<Arc<Profile>>,
-    /// Table-granularity scope (NODO, or a demoted template).
+    /// Table-granularity scope (NODO).
     pub table_scope: Option<AccessScope>,
 }
 
@@ -69,18 +64,11 @@ pub struct TxState {
     pub finished_ns: u64,
     /// Time of the first validation failure; `0` if it never failed.
     pub first_fail_ns: u64,
-    /// Specialization + adaptation bookkeeping, aggregated into
-    /// [`BatchOutcome`] (all deterministic; see the field docs there).
-    pub spec_cache_hit: bool,
-    /// Keys range-narrowing dropped from the prediction.
-    pub spec_narrowed: u64,
-    /// Keys the committing prediction locked.
+    /// Keys the committing prediction locked (summed into
+    /// [`BatchOutcome::predicted_keys`]).
     pub predicted_keys: u64,
     /// Distinct keys the committed execution touched.
     pub observed_keys: u64,
-    /// Predicted, contended, never-touched keys (set by the engine while
-    /// an adaptation sink is attached).
-    pub false_locked: u64,
 }
 
 impl TxState {
@@ -109,7 +97,6 @@ pub fn classify(
     granularity: Granularity,
     prepare: PrepareMode,
     catalog: &Catalog,
-    specs: &SpecializationSet,
     req: TxRequest,
 ) -> (Tx, TxState) {
     let entry = catalog.entry(req.program);
@@ -117,44 +104,27 @@ pub fn classify(
     let profile = entry.profile().cloned();
     let mut state = TxState::default();
     let mut table_scope = None;
-    let declared_tables = || {
-        let tables = entry.read_tables().iter().chain(entry.write_tables()).copied();
-        Some(AccessScope::Tables(tables.collect()))
-    };
     let by_effect = if entry.writes() { TxClass::Dependent } else { TxClass::ReadOnly };
 
     let class = match (granularity, prepare, &profile) {
         // NODO: everything is an independent transaction over
         // table-granularity conflict classes.
         (Granularity::Table, _, _) => {
-            table_scope = declared_tables();
+            let tables = entry.read_tables().iter().chain(entry.write_tables()).copied();
+            table_scope = Some(AccessScope::Tables(tables.collect()));
             TxClass::Independent
         }
         (_, PrepareMode::Profile, Some(p)) if p.class() == TxClass::ReadOnly => TxClass::ReadOnly,
-        (_, PrepareMode::Profile, Some(p)) => {
-            let spec = specs.for_program(program.name());
-            if spec.is_some_and(ProgSpecialization::demoted) {
-                // Demoted template: skip per-key prediction and lock its
-                // declared tables (the NODO discipline, per program).
-                // Trivially sound — tables ⊇ keys — and never aborts.
-                table_scope = declared_tables();
+        (_, PrepareMode::Profile, Some(p)) => match p.predict_direct(&req.inputs) {
+            Ok(pred) => {
+                state.prediction = Some(pred);
                 TxClass::Independent
-            } else {
-                match p.predict_direct(&req.inputs) {
-                    Ok(mut pred) => {
-                        if let Some(sp) = spec {
-                            state.spec_narrowed = apply_narrowing(&mut pred, sp);
-                        }
-                        state.prediction = Some(pred);
-                        TxClass::Independent
-                    }
-                    Err(PredictError::NeedsStore) => TxClass::Dependent,
-                    Err(PredictError::Eval(e)) => {
-                        panic!("profile/input mismatch for {}: {e}", program.name())
-                    }
-                }
             }
-        }
+            Err(PredictError::NeedsStore) => TxClass::Dependent,
+            Err(PredictError::Eval(e)) => {
+                panic!("profile/input mismatch for {}: {e}", program.name())
+            }
+        },
         // SE was capped (reconnaissance fallback), or `-R` mode.
         (_, PrepareMode::Profile, None) | (_, PrepareMode::Reconnaissance, _) => by_effect,
     };
@@ -175,7 +145,6 @@ pub fn prepare(
     tx: &Tx,
     state: &mut TxState,
     mode: PrepareMode,
-    specs: &SpecializationSet,
     snapshot: Snapshot,
 ) -> OpCounts {
     let profile = match mode {
@@ -200,26 +169,9 @@ pub fn prepare(
         };
         v.unwrap_or(Value::Unit)
     };
-    // Retry rounds (live re-prepare) bypass the overlay: a
-    // narrowing-induced scope violation must recover with the raw
-    // profile's full prediction.
-    let spec = match snapshot {
-        Snapshot::Live => None,
-        Snapshot::Epoch(_) => specs.for_program(profile.program_name()),
-    };
-    let inputs = &tx.req.inputs;
-    let prediction = match spec {
-        Some(sp) => {
-            let (pred, spec_out) = predict_specialized(profile, inputs, Some(&mut resolver), sp)
-                .expect("profile prediction with resolver cannot need more");
-            state.spec_cache_hit |= spec_out.cache_hit;
-            state.spec_narrowed += spec_out.narrowed_dropped;
-            pred
-        }
-        None => profile
-            .predict(inputs, Some(&mut resolver))
-            .expect("profile prediction with resolver cannot need more"),
-    };
+    let prediction = profile
+        .predict(&tx.req.inputs, Some(&mut resolver))
+        .expect("profile prediction with resolver cannot need more");
     state.prediction = Some(prediction);
     ops
 }
@@ -263,8 +215,9 @@ pub enum TxStatus {
     /// Committed: writes are in the store; the driver stamps
     /// `finished_ns`.
     Committed(AccessLog),
-    /// Validation failed without side effects; retry per the policy.
-    Retry(ObservedVerdict),
+    /// Validation failed without side effects (a stale pivot or an
+    /// access outside the predicted key-set); retry per the policy.
+    Retry,
     /// Deterministically aborted (reason recorded in the state): final.
     Aborted,
 }
@@ -325,11 +278,8 @@ pub fn run_tx(
             state.abort(AbortReason::workload(tx.program.name(), e));
             (TxStatus::Aborted, ops)
         }
-        Ok((Err(TxFailure::PivotChanged { .. }), ops)) => {
-            (TxStatus::Retry(ObservedVerdict::PivotMiss), ops)
-        }
-        Ok((Err(TxFailure::KeySetViolation), ops)) => {
-            (TxStatus::Retry(ObservedVerdict::ScopeMiss), ops)
+        Ok((Err(TxFailure::PivotChanged { .. } | TxFailure::KeySetViolation), ops)) => {
+            (TxStatus::Retry, ops)
         }
         // The unwind happened at execution entry (injection) or lost its
         // counts with the stack; either way nothing is charged.
@@ -340,19 +290,13 @@ pub fn run_tx(
     }
 }
 
-/// The distinct keys a committed execution touched, sorted.
-pub fn touched_keys(log: &AccessLog) -> Vec<&Key> {
-    let mut touched: Vec<&Key> =
-        log.reads.iter().chain(&log.writes).map(|(k, _)| k).collect();
-    touched.sort();
-    touched.dedup();
-    touched
-}
-
 /// Records a committed update transaction's predicted/observed key
 /// counts (table-granularity transactions predict no keys).
 fn note_key_counts(tx: &Tx, state: &mut TxState, log: &AccessLog) {
-    state.observed_keys = touched_keys(log).len() as u64;
+    let mut touched: Vec<&Key> = log.reads.iter().chain(&log.writes).map(|(k, _)| k).collect();
+    touched.sort();
+    touched.dedup();
+    state.observed_keys = touched.len() as u64;
     state.predicted_keys = match (&tx.table_scope, &state.prediction) {
         (None, Some(p)) => {
             (p.reads.len() + p.writes.iter().filter(|k| !p.reads.contains(k)).count()) as u64
@@ -403,9 +347,6 @@ pub fn after_round(
 pub fn fold_tx(outcome: &mut BatchOutcome, state: &mut TxState) {
     outcome.predicted_keys += state.predicted_keys;
     outcome.observed_keys += state.observed_keys;
-    outcome.false_conflicts += state.false_locked;
-    outcome.spec_cache_hits += u64::from(state.spec_cache_hit);
-    outcome.spec_narrowed += state.spec_narrowed;
     outcome.outputs.push(state.output.take());
     let verdict = if let Some(reason) = state.aborted.take() {
         debug_assert_eq!(state.finished_ns, 0, "aborted slots never finish");

@@ -230,7 +230,7 @@ fn recovery_replay_reproduces_live_run() {
         baselines::mq_mf(2),
         Arc::clone(&fx.catalog),
         bootstrap_store(),
-        batches.into_iter().map(prognosticator_core::LogRecord::Batch).collect(),
+        batches,
         Some(&plan),
         Some(live_digest),
     );

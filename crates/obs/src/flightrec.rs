@@ -158,24 +158,6 @@ pub enum Event {
         /// Free-form detail.
         detail: String,
     },
-    /// The adaptation controller proposed a specialization set (not yet
-    /// committed or active — only the replicated swap entry activates it).
-    SpecializationProposed {
-        /// Specialization-set version.
-        version: u64,
-        /// Programs carrying at least one specialization in the set.
-        programs: u64,
-    },
-    /// A committed specialization swap was installed on a replica's
-    /// engine; batches from `batch` on predict with the new set.
-    SpecializationActivated {
-        /// First batch index the set applies to.
-        batch: u64,
-        /// Specialization-set version.
-        version: u64,
-        /// Programs carrying at least one specialization in the set.
-        programs: u64,
-    },
 }
 
 impl Event {
@@ -195,8 +177,6 @@ impl Event {
             Event::RecoveryReplay { .. } => "recovery_replay",
             Event::DigestMismatch { .. } => "digest_mismatch",
             Event::OracleFailure { .. } => "oracle_failure",
-            Event::SpecializationProposed { .. } => "specialization_proposed",
-            Event::SpecializationActivated { .. } => "specialization_activated",
         }
     }
 
@@ -216,8 +196,6 @@ impl Event {
             Event::RecoveryReplay { .. } => 11,
             Event::DigestMismatch { .. } => 12,
             Event::OracleFailure { .. } => 13,
-            Event::SpecializationProposed { .. } => 14,
-            Event::SpecializationActivated { .. } => 15,
         }
     }
 
@@ -249,8 +227,6 @@ impl Event {
             }
             Event::WalFsync { index } => (index, 0, 0, 0),
             Event::OracleFailure { .. } => (u64::MAX, 0, 0, 0),
-            Event::SpecializationProposed { version, .. } => (u64::MAX, version, 0, 0),
-            Event::SpecializationActivated { batch, version, .. } => (batch, version, 0, 0),
         };
         (batch, self.kind_rank(), tx, key, shard)
     }
@@ -333,15 +309,6 @@ impl Event {
             Event::OracleFailure { oracle, detail } => {
                 fields.push(format!("\"oracle\":\"{}\"", escape(oracle)));
                 fields.push(format!("\"detail\":\"{}\"", escape(detail)));
-            }
-            Event::SpecializationProposed { version, programs } => {
-                fields.push(format!("\"version\":{version}"));
-                fields.push(format!("\"programs\":{programs}"));
-            }
-            Event::SpecializationActivated { batch, version, programs } => {
-                fields.push(format!("\"batch\":{batch}"));
-                fields.push(format!("\"version\":{version}"));
-                fields.push(format!("\"programs\":{programs}"));
             }
         }
         format!("{{{}}}", fields.join(","))

@@ -693,7 +693,7 @@ fn try_summarize<'p>(
     // pivot-dependent end bound is widened to the configured static hull
     // (over-approximating the span, dropping the pivot dependency); the
     // trip count is then the workload's responsibility to keep under the
-    // hull, and the runtime adaptation layer narrows the slack back.
+    // hull, and the slack is locked as a pure over-approximation cost.
     let to_committed = if ctx.config.widen_loop_hull > 0 && to_s.mentions_pivot() {
         ctx.stats.loops_widened += 1;
         SymExpr::int(ctx.config.widen_loop_hull)

@@ -36,7 +36,6 @@ pub mod profile;
 pub mod relevance;
 pub mod rws;
 pub mod solver;
-pub mod specialize;
 pub mod sym;
 
 pub use codec::{decode_profile, encode_profile, DecodeError};
@@ -47,8 +46,4 @@ pub use profile::{PredictError, Profile, ProfileNode};
 pub use relevance::Relevance;
 pub use rws::{PivotResolver, Prediction, RwsEntry, RwsTemplate, TxClass};
 pub use solver::{Sat, Solver};
-pub use specialize::{
-    apply_narrowing, fingerprint_inputs, predict_specialized, CachedPrediction,
-    ProfileSpecialization, ProgSpecialization, SpecOutcome, SpecializationSet,
-};
 pub use sym::{ConcreteEnv, KeyTemplate, LoopVarId, PivotId, SymExpr};

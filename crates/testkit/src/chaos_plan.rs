@@ -20,6 +20,7 @@
 //! [`ChaosEvent`] transiently around a round of traffic.
 
 use prognosticator_consensus::DiskFault;
+use prognosticator_core::faults::mix;
 use std::time::Duration;
 
 /// One concrete chaos action, decided for a single round of traffic. The
@@ -168,19 +169,6 @@ pub struct ChaosPlan {
 /// order — the value space of the `CHAOS_PLANS` env knob.
 pub const PLAN_NAMES: &[&str] =
     &["leader_churn", "split_and_storm", "crash_and_overload", "hostile_clients"];
-
-/// SplitMix64-style pure mix of `(seed, domain, a, b)` — the same
-/// construction [`FaultPlan`](prognosticator_core::FaultPlan) uses, with its own
-/// seed space.
-fn mix(seed: u64, domain: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(domain.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(a.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(b.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl ChaosPlan {
     /// Builds a campaign from explicit phases. `heal_after` caps every

@@ -47,6 +47,7 @@
 
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator_bench::json::Json;
+use prognosticator_core::faults::splitmix64;
 use prognosticator_core::{baselines, Replica, TxOutcome, TxRequest};
 use prognosticator_obs::{Event, FlightRecorder};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -432,18 +433,11 @@ impl Mutation {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn pick<T>(candidates: &[T], seed: u64) -> Option<&T> {
     if candidates.is_empty() {
         return None;
     }
-    Some(&candidates[(splitmix(seed) % candidates.len() as u64) as usize])
+    Some(&candidates[(splitmix64(seed) % candidates.len() as u64) as usize])
 }
 
 /// Per-key committed writes in version order, with their event indices.

@@ -112,8 +112,7 @@ pub use recovery::{
 pub use schedule::{explore_schedules, ScheduleReport, ScheduleSweep};
 pub use wire::{run_wire_fuzz, WireFuzzConfig, WireFuzzReport, WireFuzzViolation};
 pub use soundness::{
-    check_soundness, check_soundness_sharded, check_specialized_soundness, SoundnessError,
-    SoundnessReport, SpecializedSoundnessReport, TemplateSoundness,
+    check_soundness, check_soundness_sharded, SoundnessError, SoundnessReport, TemplateSoundness,
 };
 pub use strategies::{batch_strategy, fault_plan_strategy, tx_request_strategy, workload_strategy};
 pub use workload::{TestWorkload, WorkloadKind};

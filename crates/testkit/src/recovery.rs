@@ -22,6 +22,7 @@ use prognosticator::TxBatchCodec;
 use prognosticator_bench::json::Json;
 use prognosticator_consensus::raft::Record;
 use prognosticator_consensus::{DiskFault, DurabilityStats, LogStore, WalStore};
+use prognosticator_core::faults::{mix, splitmix64};
 use prognosticator_core::{baselines, FaultPlan, Replica, TxOutcome, TxRequest};
 use std::path::PathBuf;
 
@@ -102,16 +103,9 @@ pub struct RecoveryMismatch {
 /// One batch's observable result, projected for comparison.
 type BatchTrace = (Vec<TxOutcome>, usize, usize);
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The crash batch for `seed`: deterministic, spread over the run.
 pub fn crash_batch_for(seed: u64, batches: usize) -> u64 {
-    splitmix(seed) % batches as u64
+    splitmix64(seed) % batches as u64
 }
 
 /// The disk fault armed at `crash_batch` for `seed`. The draw is the one
@@ -119,10 +113,7 @@ pub fn crash_batch_for(seed: u64, batches: usize) -> u64 {
 /// batch), so every recorded crash-recovery seed still arms the same
 /// fault.
 fn disk_fault_for(seed: u64, crash_batch: u64) -> DiskFault {
-    let z = seed
-        .wrapping_add(5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(crash_batch.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    match splitmix(z) % 3 {
+    match mix(seed, 6, crash_batch, 0) % 3 {
         0 => DiskFault::TornFinalFrame,
         1 => DiskFault::FailedFsync,
         _ => DiskFault::PartialSnapshot,
@@ -236,7 +227,7 @@ fn run_crashed(
         prognosticator_core::SchedulerConfig { shards, ..baselines::mq_mf(workers) },
         std::sync::Arc::clone(workload.catalog()),
         workload.fresh_store(),
-        durable.into_iter().map(prognosticator_core::LogRecord::Batch).collect(),
+        durable,
         Some(plan),
         None,
     );

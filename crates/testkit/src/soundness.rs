@@ -22,9 +22,7 @@
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator_core::ShardRouter;
 use prognosticator_storage::EpochStore;
-use prognosticator_symexec::{
-    predict_specialized, PivotResolver, SpecializationSet, TxClass,
-};
+use prognosticator_symexec::{PivotResolver, TxClass};
 use prognosticator_txir::{Interpreter, Key, TxStore, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -423,165 +421,6 @@ pub fn check_soundness_sharded(
     assert!(report.checked > 0, "stream for {} contained no profiled transactions", kind.name());
     assert!(report.touched_keys > 0, "profiled transactions touched no keys");
     report.templates = per_template.into_values().collect();
-    Ok(report)
-}
-
-/// Per-workload statistics of a specialized-profile soundness sweep.
-#[derive(Debug)]
-pub struct SpecializedSoundnessReport {
-    /// Workload name.
-    pub workload: &'static str,
-    /// Specialization-set version the sweep ran under.
-    pub spec_version: u64,
-    /// Transactions checked against a specialized prediction.
-    pub checked: usize,
-    /// Predictions served from the indirect cache (each proved
-    /// byte-identical to a fresh walk before being accepted).
-    pub cache_hits: usize,
-    /// Predictions with ≥ 1 key dropped by range narrowing (each still a
-    /// superset of its concrete touch set on this stream).
-    pub narrowed: usize,
-    /// Transactions of demoted programs (checked at table granularity).
-    pub demoted: usize,
-    /// Keys dropped by narrowing, total.
-    pub narrowed_dropped: u64,
-}
-
-/// Replays a stream exactly like [`check_soundness`], but predicting
-/// through the specialization overlay (`predict_specialized`) the way an
-/// engine with `specs` installed would. Asserts, per transaction:
-///
-/// * **cache hits** return byte-identical predictions to a fresh profile
-///   walk (the `IndirectCache` equivalence proof, checked empirically);
-/// * **narrowed** predictions are still supersets of the concrete touch
-///   set — i.e. the learned caps are sound on this stream (the engine
-///   would additionally recover any violation via its scope check);
-/// * **demoted** programs touch only their declared tables.
-///
-/// # Errors
-/// Returns a [`SoundnessError`] naming the keys a specialized prediction
-/// missed.
-///
-/// # Panics
-/// Panics if prediction fails or a cache hit diverges from the fresh
-/// walk — both are specialization-layer correctness bugs.
-pub fn check_specialized_soundness(
-    kind: WorkloadKind,
-    seed: u64,
-    batches: usize,
-    batch_size: usize,
-    specs: &SpecializationSet,
-) -> Result<SpecializedSoundnessReport, SoundnessError> {
-    let workload = TestWorkload::new(kind);
-    let store = workload.fresh_store();
-    let stream = workload.gen_stream(seed, batches, batch_size);
-    let interp = Interpreter::new().without_input_validation();
-
-    let mut report = SpecializedSoundnessReport {
-        workload: kind.name(),
-        spec_version: specs.version,
-        checked: 0,
-        cache_hits: 0,
-        narrowed: 0,
-        demoted: 0,
-        narrowed_dropped: 0,
-    };
-
-    let mut tx_index = 0usize;
-    for batch in stream {
-        for tx in batch {
-            let entry = workload.catalog().entry(tx.program);
-            let program = entry.program().clone();
-            let spec = specs.for_program(program.name());
-
-            // Demoted programs skip per-key prediction: the check is that
-            // execution stays inside the declared tables.
-            if spec.is_some_and(|s| s.demoted()) {
-                let (touched, _ran) = traced_execute(&interp, &program, &tx.inputs, &store);
-                let tables: HashSet<_> = entry
-                    .read_tables()
-                    .iter()
-                    .chain(entry.write_tables())
-                    .copied()
-                    .collect();
-                let missing: Vec<Key> = touched
-                    .iter()
-                    .filter(|k| !tables.contains(&k.table))
-                    .cloned()
-                    .collect();
-                if !missing.is_empty() {
-                    return Err(SoundnessError {
-                        program: program.name().to_string(),
-                        tx_index,
-                        missing,
-                    });
-                }
-                report.checked += 1;
-                report.demoted += 1;
-                tx_index += 1;
-                continue;
-            }
-
-            let predicted = match (entry.profile(), spec) {
-                (Some(profile), Some(spec)) => {
-                    let mut fresh_resolver = StoreResolver { store: &store };
-                    let fresh = profile
-                        .predict(&tx.inputs, Some(&mut fresh_resolver))
-                        .unwrap_or_else(|e| {
-                            panic!("predict failed for `{}`: {e:?}", program.name())
-                        });
-                    let mut resolver = StoreResolver { store: &store };
-                    let (prediction, outcome) =
-                        predict_specialized(profile, &tx.inputs, Some(&mut resolver), spec)
-                            .unwrap_or_else(|e| {
-                                panic!(
-                                    "specialized predict failed for `{}`: {e:?}",
-                                    program.name()
-                                )
-                            });
-                    if outcome.cache_hit {
-                        assert_eq!(
-                            prediction, fresh,
-                            "cache hit for `{}` (tx #{tx_index}) diverged from a fresh walk",
-                            program.name()
-                        );
-                        report.cache_hits += 1;
-                    }
-                    if outcome.narrowed_dropped > 0 {
-                        report.narrowed += 1;
-                        report.narrowed_dropped += outcome.narrowed_dropped;
-                    }
-                    Some(prediction.key_set().into_iter().collect::<HashSet<Key>>())
-                }
-                (Some(profile), None) => {
-                    let mut resolver = StoreResolver { store: &store };
-                    let prediction = profile
-                        .predict(&tx.inputs, Some(&mut resolver))
-                        .unwrap_or_else(|e| {
-                            panic!("predict failed for `{}`: {e:?}", program.name())
-                        });
-                    Some(prediction.key_set().into_iter().collect())
-                }
-                (None, _) => None,
-            };
-
-            let (touched, _ran) = traced_execute(&interp, &program, &tx.inputs, &store);
-            if let Some(predicted) = predicted {
-                let missing: Vec<Key> =
-                    touched.iter().filter(|k| !predicted.contains(*k)).cloned().collect();
-                if !missing.is_empty() {
-                    return Err(SoundnessError {
-                        program: program.name().to_string(),
-                        tx_index,
-                        missing,
-                    });
-                }
-                report.checked += 1;
-            }
-            tx_index += 1;
-        }
-        store.advance_epoch();
-    }
     Ok(report)
 }
 

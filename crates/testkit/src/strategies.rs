@@ -24,7 +24,7 @@ pub fn fixture(kind: WorkloadKind) -> Arc<TestWorkload> {
     static SCAN_STORM: OnceLock<Arc<TestWorkload>> = OnceLock::new();
     static YCSB_MIX: OnceLock<Arc<TestWorkload>> = OnceLock::new();
     static CHAIN_PIVOT: OnceLock<Arc<TestWorkload>> = OnceLock::new();
-    static ADAPTIVE: OnceLock<Arc<TestWorkload>> = OnceLock::new();
+    static WIDENED: OnceLock<Arc<TestWorkload>> = OnceLock::new();
     let cell = match kind {
         WorkloadKind::SmallBank => &SMALLBANK,
         WorkloadKind::Tpcc => &TPCC,
@@ -33,7 +33,7 @@ pub fn fixture(kind: WorkloadKind) -> Arc<TestWorkload> {
         WorkloadKind::ScanStorm => &SCAN_STORM,
         WorkloadKind::YcsbMix => &YCSB_MIX,
         WorkloadKind::ChainPivot => &CHAIN_PIVOT,
-        WorkloadKind::Adaptive => &ADAPTIVE,
+        WorkloadKind::Widened => &WIDENED,
     };
     Arc::clone(cell.get_or_init(|| Arc::new(TestWorkload::new(kind))))
 }

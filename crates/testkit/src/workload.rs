@@ -5,9 +5,9 @@
 use prognosticator_core::{Catalog, TxRequest};
 use prognosticator_storage::EpochStore;
 use prognosticator_workloads::{
-    AdaptiveConfig, AdaptiveWorkload, AdversarialConfig, AdversarialMix, AdversarialWorkload,
-    DeterministicRng, RubisConfig, RubisWorkload, SmallBankConfig, SmallBankWorkload, TpccConfig,
-    TpccWorkload,
+    AdversarialConfig, AdversarialMix, AdversarialWorkload, DeterministicRng, RubisConfig,
+    RubisWorkload, SmallBankConfig, SmallBankWorkload, TpccConfig, TpccWorkload, WidenedConfig,
+    WidenedWorkload,
 };
 use std::sync::Arc;
 
@@ -28,10 +28,10 @@ pub enum WorkloadKind {
     YcsbMix,
     /// Adversarial: indirect-key chains racing link rewrites (DT pivots).
     ChainPivot,
-    /// Adaptive-prediction scenario: widened wide-range scans (static
-    /// over-approximation), a tail-touch storm, and repeat-parameter
-    /// indirect payments — the feedback loop's native workload.
-    Adaptive,
+    /// Widened wide-range scans (static over-approximation through the
+    /// explorer's loop-hull widening) plus a pivot-overwriting watermark
+    /// bump — the oracle's loose workload.
+    Widened,
 }
 
 impl WorkloadKind {
@@ -59,7 +59,7 @@ impl WorkloadKind {
             WorkloadKind::ScanStorm => "scan_storm",
             WorkloadKind::YcsbMix => "ycsb_mix",
             WorkloadKind::ChainPivot => "chain_pivot",
-            WorkloadKind::Adaptive => "adaptive",
+            WorkloadKind::Widened => "widened",
         }
     }
 
@@ -79,7 +79,7 @@ enum Generator {
     Tpcc(TpccWorkload),
     Rubis(RubisWorkload),
     Adversarial(AdversarialWorkload),
-    Adaptive(AdaptiveWorkload),
+    Widened(WidenedWorkload),
 }
 
 /// A registered workload at test scale: its catalog plus a batch
@@ -132,9 +132,9 @@ impl TestWorkload {
                 RubisWorkload::register(&mut catalog, RubisConfig { users: 40, items: 40 })
                     .expect("rubis registers"),
             ),
-            WorkloadKind::Adaptive => Generator::Adaptive(
-                AdaptiveWorkload::register(&mut catalog, AdaptiveConfig::default())
-                    .expect("adaptive registers"),
+            WorkloadKind::Widened => Generator::Widened(
+                WidenedWorkload::register(&mut catalog, WidenedConfig::default())
+                    .expect("widened registers"),
             ),
             adversarial => Generator::Adversarial(
                 AdversarialWorkload::register(
@@ -177,7 +177,7 @@ impl TestWorkload {
             Generator::Tpcc(w) => w.populate(store),
             Generator::Rubis(w) => w.populate(store),
             Generator::Adversarial(w) => w.populate(store),
-            Generator::Adaptive(w) => w.populate(store),
+            Generator::Widened(w) => w.populate(store),
         }
     }
 
@@ -188,7 +188,7 @@ impl TestWorkload {
             Generator::Tpcc(w) => w.gen_batch(rng, size),
             Generator::Rubis(w) => w.gen_batch(rng, size),
             Generator::Adversarial(w) => w.gen_batch(rng, size),
-            Generator::Adaptive(w) => w.gen_batch(rng, size),
+            Generator::Widened(w) => w.gen_batch(rng, size),
         }
     }
 
@@ -209,7 +209,7 @@ mod tests {
         for kind in WorkloadKind::ALL
             .into_iter()
             .chain(WorkloadKind::ADVERSARIAL)
-            .chain([WorkloadKind::Adaptive])
+            .chain([WorkloadKind::Widened])
         {
             let w = TestWorkload::new(kind);
             let stream = w.gen_stream(7, 2, 5);

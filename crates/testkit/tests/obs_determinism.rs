@@ -16,7 +16,7 @@
 //! `set_default_enabled` is process-global, so every test here holds one
 //! mutex for its whole body and restores the disabled state on exit.
 
-use prognosticator_core::{baselines, LogRecord, Replica};
+use prognosticator_core::{baselines, Replica};
 use prognosticator_obs::FlightRecorder;
 use std::sync::{Arc, Mutex};
 use testkit::{
@@ -210,7 +210,7 @@ fn forced_digest_mismatch_dumps_flight_recorder() {
             baselines::mq_mf(2),
             catalog,
             store,
-            stream.into_iter().map(LogRecord::Batch).collect(),
+            stream,
             None,
             Some(digest ^ 0xDEAD_BEEF),
         )

@@ -11,7 +11,7 @@
 //! This file holds a single test because the panic hook is global.
 
 use prognosticator_core::faults::INJECTED_PANIC_PREFIX;
-use prognosticator_core::{baselines, AbortReason, FaultPlan, LogRecord, Replica, TxOutcome};
+use prognosticator_core::{baselines, AbortReason, FaultPlan, Replica, TxOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use testkit::{TestWorkload, WorkloadKind};
@@ -75,7 +75,7 @@ fn replay_is_quiet_but_reproduces_injected_aborts() {
         baselines::mq_mf(2),
         Arc::clone(workload.catalog()),
         workload.fresh_store(),
-        stream.iter().cloned().map(LogRecord::Batch).collect(),
+        stream,
         Some(&plan),
         Some(live_digest),
     );

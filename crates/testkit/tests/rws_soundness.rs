@@ -62,15 +62,15 @@ fn rubis_predictions_are_supersets() {
 }
 
 #[test]
-fn adaptive_widened_scan_over_approximates_but_stays_sound() {
-    // The adaptive workload's whole premise: its widened wide_scan
-    // predicts the full static hull while touching only the watermark
-    // prefix — loose (ratio > 1) but sound, with the looseness visible in
-    // the per-template report, worst template first.
-    let report = assert_sound(WorkloadKind::Adaptive, 0xADA7);
+fn widened_scan_over_approximates_but_stays_sound() {
+    // The widened workload's whole premise: its wide_scan predicts the
+    // full static hull while touching only the watermark prefix — loose
+    // (ratio > 1) but sound, with the looseness visible in the
+    // per-template report, worst template first.
+    let report = assert_sound(WorkloadKind::Widened, 0xADA7);
     assert!(
         report.ratio() > 1.2,
-        "adaptive: expected a visibly loose workload, got ratio {:.3}",
+        "widened: expected a visibly loose workload, got ratio {:.3}",
         report.ratio()
     );
     let worst = report.worst_templates(3);
@@ -82,7 +82,7 @@ fn adaptive_widened_scan_over_approximates_but_stays_sound() {
     );
     assert!(worst[0].ratio() > 2.0, "wide_scan ratio {:.3} should dwarf 2×", worst[0].ratio());
     // bump_watermark overwrites its own pivot: the per-template pivot hit
-    // rate must notice (audit's and chain_pay's pivots stay valid).
+    // rate must notice.
     let bump = report.templates.iter().find(|t| t.program == "bump_watermark");
     if let Some(bump) = bump {
         if bump.pivot_predictions > 0 {

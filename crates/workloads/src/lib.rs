@@ -18,14 +18,13 @@
 //! [`DeterministicRng`], so replicas and baselines can be fed identical
 //! batches.
 
-pub mod adaptive;
 pub mod adversarial;
 pub mod gen;
 pub mod rubis;
 pub mod smallbank;
 pub mod tpcc;
+pub mod widened;
 
-pub use adaptive::{AdaptiveConfig, AdaptivePrograms, AdaptiveWorkload};
 pub use adversarial::{
     AdversarialConfig, AdversarialMix, AdversarialPrograms, AdversarialWorkload,
 };
@@ -33,3 +32,4 @@ pub use gen::{nurand, DeterministicRng, Zipfian};
 pub use rubis::{RubisConfig, RubisPrograms, RubisWorkload};
 pub use smallbank::{SmallBankConfig, SmallBankPrograms, SmallBankWorkload};
 pub use tpcc::{TpccConfig, TpccPrograms, TpccWorkload};
+pub use widened::{WidenedConfig, WidenedPrograms, WidenedWorkload};

@@ -11,14 +11,13 @@
 
 use crate::health::{HealthMonitor, HealthState};
 use crate::wal_codec::LogRecordCodec;
-use prognosticator_adapt::{AdaptConfig, Specializer, StatsCollector};
 use prognosticator_consensus::{
-    Admission, Batcher, DurabilityReport, LogStore, NetConfig, Quarantine, Quarantined,
+    Admission, Batcher, DurabilityReport, LogEntry, LogStore, NetConfig, Quarantine, Quarantined,
     RaftCluster, RaftTiming, RetryPolicy, WalStore,
 };
 use prognosticator_core::{
     Catalog, ConsensusFault, FaultPlan, LogRecord, RecoveryReport, Replica, SchedulerConfig,
-    SpecializationSet, StageTimings, TxOutcome, TxRequest,
+    StageTimings, TxOutcome, TxRequest,
 };
 use prognosticator_storage::EpochStore;
 use std::collections::HashSet;
@@ -77,13 +76,6 @@ pub struct PipelineConfig {
     /// snapshots there and recovers from it on reboot; `None` keeps the
     /// log in memory (hermetic tests).
     pub wal_dir: Option<PathBuf>,
-    /// Adaptive prediction. When set, replica 0's engine feeds a
-    /// [`StatsCollector`], and after every sync the controller may turn
-    /// the statistics into a specialization swap proposed through
-    /// consensus as a [`LogRecord::Specialize`] entry — so every replica
-    /// (and every recovery) installs it at the identical log position.
-    /// `None` (the default) runs on static profiles only.
-    pub adaptation: Option<AdaptConfig>,
 }
 
 impl Default for PipelineConfig {
@@ -103,7 +95,6 @@ impl Default for PipelineConfig {
             max_pending: None,
             snapshot_interval: None,
             wal_dir: None,
-            adaptation: None,
         }
     }
 }
@@ -204,19 +195,6 @@ pub enum BatchEvent {
     },
 }
 
-/// The adaptation controller: observes execution through replica 0's
-/// engine and periodically proposes specialization swaps through
-/// consensus. Lives on the pipeline (the "leader side" of the loop);
-/// replicas themselves only ever install committed swaps.
-struct AdaptController {
-    collector: Arc<StatsCollector>,
-    specializer: Specializer,
-    /// The last set this controller committed (version 0 = none yet).
-    active: SpecializationSet,
-    /// Collector batch watermark at the last specializer run.
-    last_run: u64,
-}
-
 /// The assembled deterministic database.
 pub struct Pipeline {
     catalog: Arc<Catalog>,
@@ -225,12 +203,8 @@ pub struct Pipeline {
     cluster: RaftCluster<LogRecord>,
     replicas: Vec<ReplicaSlot>,
     batcher: Batcher<TxRequest>,
+    /// Batches committed through consensus — the sync target.
     proposed_batches: usize,
-    /// Committed log records (batches plus specialization swaps) — the
-    /// sync target, since replicas consume whole records.
-    proposed_records: usize,
-    /// Adaptive-prediction controller, when enabled.
-    adapt: Option<AdaptController>,
     /// Poison batches that exhausted their retry budget.
     quarantine: Quarantine<Vec<TxRequest>>,
     /// Proposal ids voided at quarantine time. A quarantined entry may
@@ -326,8 +300,6 @@ impl Pipeline {
             replicas: Vec::new(),
             batcher,
             proposed_batches: 0,
-            proposed_records: 0,
-            adapt: None,
             quarantine: Quarantine::new(),
             voided_ids: HashSet::new(),
             consensus_retries: 0,
@@ -341,14 +313,6 @@ impl Pipeline {
             shed_requests: 0,
             degraded_batches: 0,
         };
-        if let Some(adapt_config) = pipeline.config.adaptation.clone() {
-            pipeline.adapt = Some(AdaptController {
-                collector: Arc::new(StatsCollector::new(adapt_config.clone())),
-                specializer: Specializer::new(adapt_config),
-                active: SpecializationSet::empty(),
-                last_run: 0,
-            });
-        }
         for _ in 0..replica_count {
             pipeline.add_replica();
         }
@@ -378,16 +342,6 @@ impl Pipeline {
         let node = self.replicas.len() % self.cluster.len();
         let mut replica = self.fresh_replica();
         replica.set_fault_plan(self.fault_plan.clone());
-        // Replica 0 feeds the adaptation collector. Observations are
-        // advisory (DESIGN.md §12): one observer is enough, and a single
-        // one avoids double-counting the same committed batch.
-        if self.replicas.is_empty() {
-            if let Some(ctrl) = &self.adapt {
-                replica
-                    .engine()
-                    .set_adapt_sink(Some(Arc::clone(&ctrl.collector) as Arc<dyn prognosticator_core::AdaptSink>));
-            }
-        }
         self.replicas.push(ReplicaSlot { replica, consumed: 0, live_consumed: 0, node });
         self.health.add_replica();
         self.publish_health_gauges();
@@ -566,7 +520,6 @@ impl Pipeline {
             // would desynchronize `proposed_batches` from the log.
             if self.cluster.proposal_committed(id) {
                 self.proposed_batches += 1;
-                self.proposed_records += 1;
                 self.batch_events.push(BatchEvent::Committed { len });
                 self.maybe_compact();
                 return Ok(());
@@ -575,8 +528,9 @@ impl Pipeline {
             // after the heal, every consumer skips it, so quarantine +
             // resubmission stays exactly-once.
             self.voided_ids.insert(id);
+            let LogRecord::Batch(batch) = record;
             self.quarantine.admit(
-                record.into_batch().expect("propose() only builds batch records"),
+                batch,
                 attempts,
                 format!("proposal did not commit after {attempts} attempts"),
             );
@@ -584,55 +538,8 @@ impl Pipeline {
             return Err(PipelineError::BatchQuarantined { attempts });
         }
         self.proposed_batches += 1;
-        self.proposed_records += 1;
         self.batch_events.push(BatchEvent::Committed { len });
         self.maybe_compact();
-        Ok(())
-    }
-
-    /// Proposes a specialization swap through consensus. On commit the
-    /// set becomes a [`LogRecord::Specialize`] entry of the replicated
-    /// log; every replica installs it at that log position on its next
-    /// [`Pipeline::sync`] (and every recovery re-installs it during
-    /// replay).
-    ///
-    /// Unlike batches, a failed swap proposal is simply dropped — the
-    /// statistics that produced it remain, so the controller will
-    /// re-propose an equivalent set later.
-    ///
-    /// # Errors
-    /// [`PipelineError::BatchTimedOut`] if consensus cannot commit it.
-    pub fn propose_specialization(
-        &mut self,
-        set: SpecializationSet,
-    ) -> Result<(), PipelineError> {
-        if let Some(rec) = self.replicas.first().and_then(|s| s.replica.recorder()) {
-            let (version, programs) = (set.version, set.programs.len() as u64);
-            rec.record(|| prognosticator_obs::Event::SpecializationProposed { version, programs });
-        }
-        let record = LogRecord::Specialize(set);
-        let id = self.cluster.begin_proposal();
-        let mut attempts = 0;
-        let committed = loop {
-            attempts += 1;
-            if self.cluster.propose_id_until_committed(id, &record, self.config.consensus_timeout)
-            {
-                break true;
-            }
-            if attempts >= self.config.retry.max_attempts {
-                break self.cluster.proposal_committed(id);
-            }
-            self.consensus_retries += 1;
-            std::thread::sleep(self.config.retry.backoff(attempts));
-        };
-        if !committed {
-            // Never let a half-proposed swap resurface later from a
-            // deposed leader's log: void it like a quarantined batch.
-            self.voided_ids.insert(id);
-            return Err(PipelineError::BatchTimedOut);
-        }
-        self.proposed_records += 1;
-        prognosticator_obs::Registry::global().counter("pipeline.specializations_committed").inc();
         Ok(())
     }
 
@@ -680,14 +587,7 @@ impl Pipeline {
         let (node, consumed) = (self.replicas[idx].node, self.replicas[idx].consumed);
         let expected = self.replicas[idx].replica.state_digest();
         self.replicas[idx].replica.shutdown();
-        let committed: Vec<LogRecord> = self
-            .cluster
-            .committed(node)
-            .iter()
-            .take(consumed)
-            .filter(|entry| !self.voided_ids.contains(&entry.id))
-            .map(|entry| entry.payload.clone())
-            .collect();
+        let committed = self.live_batches(self.cluster.committed(node).iter().take(consumed));
         let store = Arc::new(EpochStore::new());
         (self.populate)(&store);
         let (replica, report) = Replica::recover(
@@ -798,7 +698,7 @@ impl Pipeline {
     /// Panics if replicas diverge — that would be a determinism bug, which
     /// must never be silently ignored.
     pub fn sync(&mut self) -> Result<(), PipelineError> {
-        let target = self.proposed_records;
+        let target = self.proposed_batches;
         for idx in 0..self.replicas.len() {
             let (node, consumed) = (self.replicas[idx].node, self.replicas[idx].consumed);
             if !self.wait_for_live_committed(node, target, self.config.consensus_timeout) {
@@ -807,23 +707,15 @@ impl Pipeline {
                 return Err(PipelineError::ReplicaLagged { replica: idx });
             }
             let log = self.cluster.committed(node);
-            let new_records: Vec<LogRecord> = log
-                .iter()
-                .skip(consumed)
-                .filter(|entry| !self.voided_ids.contains(&entry.id))
-                .map(|entry| entry.payload.clone())
-                .collect();
+            let new_batches = self.live_batches(log.iter().skip(consumed));
             self.replicas[idx].consumed = log.len();
-            if new_records.is_empty() {
+            if new_batches.is_empty() {
                 continue;
             }
             // Apply the run with prepare-ahead: batch N+1 classifies on
-            // the engine's queuer thread while batch N executes. A
-            // specialization record is a drain point inside the run
-            // (Replica::execute_records), so the set installs at its log
-            // position on every replica.
+            // the engine's queuer thread while batch N executes.
             let outcomes =
-                self.replicas[idx].replica.execute_records(new_records, self.config.prepare_ahead);
+                self.replicas[idx].replica.execute_stream(new_batches, self.config.prepare_ahead);
             let first_live = self.replicas[idx].live_consumed;
             for (k, outcome) in outcomes.iter().enumerate() {
                 // First replica to apply a live batch records its outcome
@@ -866,46 +758,7 @@ impl Pipeline {
             self.health.on_clean_sync(idx);
         }
         self.publish_health_gauges();
-        self.maybe_adapt()?;
         Ok(())
-    }
-
-    /// One adaptation step, run after every clean sync: when enough new
-    /// batches were observed since the last run, ask the specializer for
-    /// a candidate set and commit it through consensus. The swap takes
-    /// effect on the *next* sync — at a log position strictly after every
-    /// batch that produced the statistics — identically on every replica.
-    fn maybe_adapt(&mut self) -> Result<(), PipelineError> {
-        let candidate = match &mut self.adapt {
-            None => return Ok(()),
-            Some(ctrl) => {
-                let batches = ctrl.collector.batches();
-                if batches < ctrl.last_run + ctrl.collector.config().interval_batches {
-                    return Ok(());
-                }
-                ctrl.last_run = batches;
-                match ctrl.specializer.propose(&ctrl.collector, &ctrl.active) {
-                    None => return Ok(()),
-                    Some(next) => next,
-                }
-            }
-        };
-        self.propose_specialization(candidate.clone())?;
-        if let Some(ctrl) = &mut self.adapt {
-            ctrl.active = candidate;
-        }
-        Ok(())
-    }
-
-    /// The adaptation statistics collector, when adaptation is enabled.
-    pub fn adapt_collector(&self) -> Option<&Arc<StatsCollector>> {
-        self.adapt.as_ref().map(|c| &c.collector)
-    }
-
-    /// The specialization set most recently committed by the controller
-    /// (version 0 when adaptation is off or nothing committed yet).
-    pub fn active_specializations(&self) -> SpecializationSet {
-        self.adapt.as_ref().map_or_else(SpecializationSet::empty, |c| c.active.clone())
     }
 
     /// Per-replica state digests (identical after a successful
@@ -928,31 +781,25 @@ impl Pipeline {
     }
 
     /// The live committed batch stream as observed by `node`: committed
-    /// batch payloads with quarantine-voided proposal ids filtered out
-    /// and specialization records skipped. Determinism oracles replaying
-    /// this view reproduce the static-profile execution; oracles that
-    /// must reproduce specialized runs replay
-    /// [`Pipeline::live_records`] instead.
+    /// batch payloads with quarantine-voided proposal ids filtered out.
+    /// This is exactly what replicas execute, so replaying it through a
+    /// fresh replica at any worker count reproduces the fleet's digests
+    /// byte-identically.
     pub fn live_committed(&self, node: usize) -> Vec<Vec<TxRequest>> {
-        self.cluster
-            .committed(node)
-            .iter()
-            .filter(|entry| !self.voided_ids.contains(&entry.id))
-            .filter_map(|entry| entry.payload.as_batch().cloned())
-            .collect()
+        self.live_batches(self.cluster.committed(node).iter())
     }
 
-    /// The full live committed record stream as observed by `node` —
-    /// batches *and* specialization swaps, voided ids filtered. This is
-    /// exactly what replicas execute ([`Replica::execute_records`]), so
-    /// replaying it through a fresh replica at any worker count
-    /// reproduces the fleet's digests byte-identically.
-    pub fn live_records(&self, node: usize) -> Vec<LogRecord> {
-        self.cluster
-            .committed(node)
-            .iter()
+    /// The batches of `entries` whose proposal id was not voided.
+    fn live_batches<'a>(
+        &self,
+        entries: impl Iterator<Item = &'a LogEntry<LogRecord>>,
+    ) -> Vec<Vec<TxRequest>> {
+        entries
             .filter(|entry| !self.voided_ids.contains(&entry.id))
-            .map(|entry| entry.payload.clone())
+            .map(|entry| {
+                let LogRecord::Batch(batch) = &entry.payload;
+                batch.clone()
+            })
             .collect()
     }
 
@@ -1225,7 +1072,13 @@ mod tests {
     fn prepare_ahead_matches_sequential_sync() {
         let run = |prepare_ahead: usize| {
             let (catalog, bump) = counter_catalog();
-            let config = PipelineConfig { prepare_ahead, ..small_config() };
+            let config = PipelineConfig {
+                prepare_ahead,
+                // Only the size cap (8) and flush cut batches: a window
+                // cut would make the batch count depend on machine load.
+                batch_window: Duration::from_secs(60),
+                ..small_config()
+            };
             let mut p = Pipeline::new(catalog, config, 2, populate()).expect("boots");
             for i in 0..48 {
                 p.submit(TxRequest::new(bump, vec![Value::Int(i % 16)])).expect("submits");
@@ -1239,7 +1092,7 @@ mod tests {
         };
         let (sequential, b0) = run(0);
         let (pipelined, b1) = run(1);
-        assert_eq!(b0, b1);
+        assert_eq!((b0, b1), (6, 6), "48 transactions in batches of 8");
         assert_eq!(sequential, pipelined, "prepare-ahead changed the state");
     }
 

@@ -8,13 +8,8 @@
 //! recovery path never depends on platform layout.
 
 use prognosticator_consensus::{Codec, WalError};
-use prognosticator_core::{
-    CachedPrediction, LogRecord, ProfileSpecialization, ProgSpecialization, SpecializationSet,
-};
-use prognosticator_core::TxRequest;
-use prognosticator_core::ProgId;
-use prognosticator_symexec::Prediction;
-use prognosticator_txir::{Key, TableId, Value};
+use prognosticator_core::{LogRecord, ProgId, TxRequest};
+use prognosticator_txir::Value;
 use std::sync::Arc;
 
 /// Value-tree tags (one byte each).
@@ -204,225 +199,29 @@ impl Codec<Vec<TxRequest>> for TxBatchCodec {
     }
 }
 
-/// Record tags for the [`LogRecordCodec`] framing (one byte each).
+/// Record tag of a batch in the [`LogRecordCodec`] framing. Tag `1` was
+/// the retired specialization-swap record; it, like any other tag,
+/// decodes as [`WalError::Corrupt`].
 const REC_BATCH: u8 = 0;
-const REC_SPECIALIZE: u8 = 1;
 
-/// Specialization-variant tags (one byte each).
-const SPEC_INDIRECT_CACHE: u8 = 0;
-const SPEC_RANGE_NARROW: u8 = 1;
-const SPEC_DEMOTE: u8 = 2;
-
-/// Encodes/decodes a [`LogRecord`] — batch or specialization swap — as
-/// one WAL payload.
-///
-/// Batch records are framed as a `REC_BATCH` tag followed by the exact
-/// [`TxBatchCodec`] byte sequence, so the batch encoding stays canonical
-/// across both codecs. Specialization records serialize the whole
-/// [`SpecializationSet`] (version, then programs in `BTreeMap` name
-/// order), which makes the bytes of a committed swap identical on every
-/// replica — the property the replicated activation path depends on.
+/// Encodes/decodes a [`LogRecord`] as one WAL payload: the `REC_BATCH`
+/// tag followed by the exact [`TxBatchCodec`] byte sequence, so both
+/// codecs agree on the canonical batch encoding.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LogRecordCodec;
 
-fn encode_str(s: &str, out: &mut Vec<u8>) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn decode_str(r: &mut Reader<'_>) -> Result<String, WalError> {
-    let len = r.u32()?;
-    let n = checked_len(len, r.buf.len() - r.pos, 1)?;
-    let bytes = r.take(n)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_owned)
-        .map_err(|e| WalError::Corrupt(format!("invalid utf-8 in program name: {e}")))
-}
-
-fn encode_key(k: &Key, out: &mut Vec<u8>) {
-    put_u32(out, u32::from(k.table.0));
-    put_u32(out, k.parts.len() as u32);
-    for p in &k.parts {
-        encode_value(p, out);
-    }
-}
-
-fn decode_key(r: &mut Reader<'_>) -> Result<Key, WalError> {
-    let table = r.u32()?;
-    let table = u16::try_from(table)
-        .map_err(|_| WalError::Corrupt(format!("table id {table} exceeds u16")))?;
-    let len = r.u32()?;
-    let n = checked_len(len, r.buf.len() - r.pos, 1)?;
-    let mut parts = Vec::with_capacity(n);
-    for _ in 0..n {
-        parts.push(decode_value(r)?);
-    }
-    Ok(Key { table: TableId(table), parts })
-}
-
-fn encode_key_list(keys: &[Key], out: &mut Vec<u8>) {
-    put_u32(out, keys.len() as u32);
-    for k in keys {
-        encode_key(k, out);
-    }
-}
-
-fn decode_key_list(r: &mut Reader<'_>) -> Result<Vec<Key>, WalError> {
-    let len = r.u32()?;
-    // A key is at least table (4) + part count (4) bytes.
-    let n = checked_len(len, r.buf.len() - r.pos, 8)?;
-    let mut keys = Vec::with_capacity(n);
-    for _ in 0..n {
-        keys.push(decode_key(r)?);
-    }
-    Ok(keys)
-}
-
-fn encode_prediction(p: &Prediction, out: &mut Vec<u8>) {
-    encode_key_list(&p.reads, out);
-    encode_key_list(&p.writes, out);
-    put_u32(out, p.pivot_observations.len() as u32);
-    for (k, v) in &p.pivot_observations {
-        encode_key(k, out);
-        encode_value(v, out);
-    }
-}
-
-fn decode_prediction(r: &mut Reader<'_>) -> Result<Prediction, WalError> {
-    let reads = decode_key_list(r)?;
-    let writes = decode_key_list(r)?;
-    let len = r.u32()?;
-    let n = checked_len(len, r.buf.len() - r.pos, 9)?;
-    let mut pivot_observations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = decode_key(r)?;
-        let v = decode_value(r)?;
-        pivot_observations.push((k, v));
-    }
-    Ok(Prediction { reads, writes, pivot_observations })
-}
-
-fn encode_specialization(s: &ProfileSpecialization, out: &mut Vec<u8>) {
-    match s {
-        ProfileSpecialization::IndirectCache { entries } => {
-            out.push(SPEC_INDIRECT_CACHE);
-            put_u32(out, entries.len() as u32);
-            for e in entries {
-                put_u64(out, e.fingerprint);
-                put_u32(out, e.inputs.len() as u32);
-                for v in &e.inputs {
-                    encode_value(v, out);
-                }
-                encode_prediction(&e.prediction, out);
-            }
-        }
-        ProfileSpecialization::RangeNarrow { table, part, hi_cap } => {
-            out.push(SPEC_RANGE_NARROW);
-            put_u32(out, u32::from(table.0));
-            put_u64(out, *part as u64);
-            out.extend_from_slice(&hi_cap.to_le_bytes());
-        }
-        ProfileSpecialization::DemoteToTables => out.push(SPEC_DEMOTE),
-    }
-}
-
-fn decode_specialization(r: &mut Reader<'_>) -> Result<ProfileSpecialization, WalError> {
-    match r.u8()? {
-        SPEC_INDIRECT_CACHE => {
-            let len = r.u32()?;
-            // An entry is at least fingerprint (8) + input count (4) +
-            // prediction headers (12) bytes.
-            let n = checked_len(len, r.buf.len() - r.pos, 24)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let fingerprint = r.u64()?;
-                let input_len = r.u32()?;
-                let inputs_n = checked_len(input_len, r.buf.len() - r.pos, 1)?;
-                let mut inputs = Vec::with_capacity(inputs_n);
-                for _ in 0..inputs_n {
-                    inputs.push(decode_value(r)?);
-                }
-                let prediction = decode_prediction(r)?;
-                entries.push(CachedPrediction { fingerprint, inputs, prediction });
-            }
-            Ok(ProfileSpecialization::IndirectCache { entries })
-        }
-        SPEC_RANGE_NARROW => {
-            let table = r.u32()?;
-            let table = u16::try_from(table)
-                .map_err(|_| WalError::Corrupt(format!("table id {table} exceeds u16")))?;
-            let part = r.u64()? as usize;
-            let hi_cap = r.i64()?;
-            Ok(ProfileSpecialization::RangeNarrow { table: TableId(table), part, hi_cap })
-        }
-        SPEC_DEMOTE => Ok(ProfileSpecialization::DemoteToTables),
-        tag => Err(WalError::Corrupt(format!("unknown specialization tag {tag}"))),
-    }
-}
-
-fn encode_specialization_set(set: &SpecializationSet, out: &mut Vec<u8>) {
-    put_u64(out, set.version);
-    put_u32(out, set.programs.len() as u32);
-    // BTreeMap iteration is name-ordered, so the encoding is canonical.
-    for (name, prog) in &set.programs {
-        encode_str(name, out);
-        put_u32(out, prog.specs.len() as u32);
-        for s in &prog.specs {
-            encode_specialization(s, out);
-        }
-    }
-}
-
-fn decode_specialization_set(r: &mut Reader<'_>) -> Result<SpecializationSet, WalError> {
-    let version = r.u64()?;
-    let len = r.u32()?;
-    // A program entry is at least name length (4) + spec count (4) bytes.
-    let n = checked_len(len, r.buf.len() - r.pos, 8)?;
-    let mut programs = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let name = decode_str(r)?;
-        let spec_len = r.u32()?;
-        let specs_n = checked_len(spec_len, r.buf.len() - r.pos, 1)?;
-        let mut specs = Vec::with_capacity(specs_n);
-        for _ in 0..specs_n {
-            specs.push(decode_specialization(r)?);
-        }
-        if programs.insert(name.clone(), ProgSpecialization { specs }).is_some() {
-            return Err(WalError::Corrupt(format!("duplicate program entry {name:?}")));
-        }
-    }
-    Ok(SpecializationSet { version, programs })
-}
-
 impl Codec<LogRecord> for LogRecordCodec {
     fn encode(&self, record: &LogRecord, out: &mut Vec<u8>) {
-        match record {
-            LogRecord::Batch(batch) => {
-                out.push(REC_BATCH);
-                TxBatchCodec.encode(batch, out);
-            }
-            LogRecord::Specialize(set) => {
-                out.push(REC_SPECIALIZE);
-                encode_specialization_set(set, out);
-            }
-        }
+        let LogRecord::Batch(batch) = record;
+        out.push(REC_BATCH);
+        TxBatchCodec.encode(batch, out);
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<LogRecord, WalError> {
-        let mut r = Reader::new(bytes);
-        match r.u8()? {
-            REC_BATCH => Ok(LogRecord::Batch(TxBatchCodec.decode(&bytes[1..])?)),
-            REC_SPECIALIZE => {
-                let set = decode_specialization_set(&mut r)?;
-                if !r.done() {
-                    return Err(WalError::Corrupt(format!(
-                        "{} trailing bytes after specialization payload",
-                        bytes.len() - r.pos
-                    )));
-                }
-                Ok(LogRecord::Specialize(set))
-            }
-            tag => Err(WalError::Corrupt(format!("unknown record tag {tag}"))),
+        match bytes.split_first() {
+            Some((&REC_BATCH, body)) => Ok(LogRecord::Batch(TxBatchCodec.decode(body)?)),
+            Some((tag, _)) => Err(WalError::Corrupt(format!("unknown record tag {tag}"))),
+            None => Err(WalError::Corrupt("empty record payload".into())),
         }
     }
 }
@@ -495,38 +294,6 @@ mod tests {
         assert!(matches!(codec.decode(&bad_tag), Err(WalError::Corrupt(_))));
     }
 
-    fn sample_set() -> SpecializationSet {
-        let prediction = Prediction {
-            reads: vec![Key::of_ints(TableId(0), &[3]), Key::new(TableId(2), vec![Value::str("k")])],
-            writes: vec![Key::of_ints(TableId(1), &[7, 8])],
-            pivot_observations: vec![(Key::of_ints(TableId(0), &[3]), Value::Int(42))],
-        };
-        let inputs = vec![Value::Int(3), Value::str("x")];
-        let mut programs = std::collections::BTreeMap::new();
-        programs.insert(
-            "follow".to_owned(),
-            ProgSpecialization {
-                specs: vec![ProfileSpecialization::IndirectCache {
-                    entries: vec![CachedPrediction {
-                        fingerprint: prognosticator_symexec::fingerprint_inputs(&inputs),
-                        inputs,
-                        prediction,
-                    }],
-                }],
-            },
-        );
-        programs.insert(
-            "scan".to_owned(),
-            ProgSpecialization {
-                specs: vec![
-                    ProfileSpecialization::RangeNarrow { table: TableId(1), part: 0, hi_cap: 12 },
-                    ProfileSpecialization::DemoteToTables,
-                ],
-            },
-        );
-        SpecializationSet { version: 9, programs }
-    }
-
     fn record_roundtrip(record: LogRecord) -> Vec<u8> {
         let codec = LogRecordCodec;
         let mut buf = Vec::new();
@@ -536,13 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn log_records_roundtrip_both_kinds() {
+    fn batch_records_roundtrip() {
         record_roundtrip(LogRecord::Batch(vec![]));
         record_roundtrip(LogRecord::Batch(vec![
             TxRequest::new(ProgId(3), vec![Value::Int(-7), Value::str("wal")]),
         ]));
-        record_roundtrip(LogRecord::Specialize(SpecializationSet::empty()));
-        record_roundtrip(LogRecord::Specialize(sample_set()));
     }
 
     #[test]
@@ -558,61 +323,43 @@ mod tests {
     }
 
     #[test]
-    fn specialization_encoding_is_canonical() {
-        let codec = LogRecordCodec;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        codec.encode(&LogRecord::Specialize(sample_set()), &mut a);
-        codec.encode(&LogRecord::Specialize(sample_set()), &mut b);
-        assert_eq!(a, b, "identical sets must encode to identical bytes");
-    }
+    fn retired_record_tag_is_corrupt_not_truncated() {
+        use prognosticator_consensus::raft::Record;
+        use prognosticator_consensus::{LogStore, WalStore};
+        use std::path::PathBuf;
 
-    #[test]
-    fn truncated_specialization_payloads_are_corrupt_not_panics() {
-        let codec = LogRecordCodec;
-        let buf = record_roundtrip(LogRecord::Specialize(sample_set()));
-        for cut in 0..buf.len() {
-            assert!(
-                matches!(codec.decode(&buf[..cut]), Err(WalError::Corrupt(_))),
-                "prefix of {cut} bytes must decode as Corrupt"
-            );
-        }
-        // Unknown record tag, unknown spec tag, oversized table id.
-        assert!(matches!(codec.decode(&[7]), Err(WalError::Corrupt(_))));
-        let bad_spec = {
-            let mut v = vec![REC_SPECIALIZE];
-            put_u64(&mut v, 1);
-            put_u32(&mut v, 1);
-            encode_str("p", &mut v);
-            put_u32(&mut v, 1);
-            v.push(99);
-            v
-        };
-        assert!(matches!(codec.decode(&bad_spec), Err(WalError::Corrupt(_))));
-        let wide_table = {
-            let mut v = vec![REC_SPECIALIZE];
-            put_u64(&mut v, 1);
-            put_u32(&mut v, 1);
-            encode_str("p", &mut v);
-            put_u32(&mut v, 1);
-            v.push(SPEC_RANGE_NARROW);
-            put_u32(&mut v, u32::MAX);
-            put_u64(&mut v, 0);
-            v.extend_from_slice(&0i64.to_le_bytes());
-            v
-        };
-        assert!(matches!(codec.decode(&wide_table), Err(WalError::Corrupt(_))));
-        // Duplicate program entries cannot silently collapse.
-        let dup = {
-            let mut v = vec![REC_SPECIALIZE];
-            put_u64(&mut v, 1);
-            put_u32(&mut v, 2);
-            for _ in 0..2 {
-                encode_str("p", &mut v);
-                put_u32(&mut v, 1);
-                v.push(SPEC_DEMOTE);
+        /// Writes every record under tag `1`, the way the retired
+        /// specialization-swap kind was framed (an empty version-1 set).
+        struct RetiredTag;
+        impl Codec<LogRecord> for RetiredTag {
+            fn encode(&self, _: &LogRecord, out: &mut Vec<u8>) {
+                out.push(1);
+                put_u64(out, 1);
+                put_u32(out, 0);
             }
-            v
-        };
-        assert!(matches!(codec.decode(&dup), Err(WalError::Corrupt(_))));
+            fn decode(&self, bytes: &[u8]) -> Result<LogRecord, WalError> {
+                LogRecordCodec.decode(bytes)
+            }
+        }
+
+        for bytes in [&[][..], &[1], &[7, 0, 0, 0, 0]] {
+            assert!(matches!(LogRecordCodec.decode(bytes), Err(WalError::Corrupt(_))));
+        }
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target/tmp/wal-codec")
+            .join(format!("retired-tag-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let batch = LogRecord::Batch(vec![TxRequest::new(ProgId(1), vec![Value::Int(7)])]);
+        let record = |id| Record { term: 1, id, payload: Some(batch.clone()) };
+        WalStore::open(&dir, LogRecordCodec).expect("opens").append(&record(1));
+        WalStore::open(&dir, RetiredTag).expect("reopens").append(&record(2));
+        // The tag-1 frame is CRC-valid, so it is not a torn tail to drop:
+        // opening must fail loudly instead of yielding a one-record log.
+        match WalStore::open(&dir, LogRecordCodec) {
+            Err(WalError::Corrupt(why)) => assert_eq!(why, "unknown record tag 1"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(wal) => panic!("opened past a retired tag with {} records", wal.records().len()),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
