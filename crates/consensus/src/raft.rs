@@ -968,6 +968,14 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
         self.seats[node].view.committed.read().clone()
     }
 
+    /// `node`'s committed entries from position `from` on (empty when it
+    /// has committed no more than `from`): what a consumer that has
+    /// already read the first `from` entries still needs, cloned without
+    /// the prefix.
+    pub fn committed_from(&self, node: NodeId, from: usize) -> Vec<LogEntry<T>> {
+        self.seats[node].view.committed.read().get(from..).map_or_else(Vec::new, <[_]>::to_vec)
+    }
+
     /// Every `(node, term)` leadership claim observed so far — for
     /// checking the Election Safety property in tests. Spans restarts.
     pub fn leadership_claims(&self) -> Vec<(NodeId, u64)> {
@@ -1217,6 +1225,11 @@ mod tests {
             assert!(c.wait_for_committed(node, 10, Duration::from_secs(5)), "node {node}");
             let payloads: Vec<u64> = c.committed(node).iter().map(|e| e.payload).collect();
             assert_eq!(payloads, (0..10).collect::<Vec<_>>(), "node {node} order");
+            let full = c.committed(node);
+            for from in [0, 4, 10, 11] {
+                let suffix = c.committed_from(node, from);
+                assert_eq!(suffix, full.get(from..).unwrap_or_default(), "node {node} from {from}");
+            }
         }
     }
 

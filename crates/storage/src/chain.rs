@@ -18,13 +18,21 @@ use prognosticator_txir::Value;
 /// of worker count or ready policy — and survive GC (the counter never
 /// resets). `ver == 0` is reserved for "the initial/absent version"
 /// observed by reads that found no value.
+///
+/// The latest version also records whether the store's state digest has
+/// folded it in yet (`is_dirty`, crate-internal); every write starts
+/// unfolded. The flag costs no space: it is the top bit of that version's
+/// stored `ver`, which reads mask off.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VersionChain {
-    /// `(epoch, ver, value)` triples, ascending by epoch (and by ver).
+    /// `(epoch, ver, value)` triples, ascending by epoch (and by ver). The
+    /// newest `ver` is the last number assigned: GC always keeps it, so
+    /// the counter survives GC.
     versions: Vec<(u64, u64, Value)>,
-    /// Next version number to assign (monotone; survives GC).
-    next_ver: u64,
 }
+
+/// Set on the latest version's stored `ver` once the digest folded it in.
+const FOLDED: u64 = 1 << 63;
 
 impl VersionChain {
     /// Creates an empty chain.
@@ -34,7 +42,7 @@ impl VersionChain {
 
     /// Creates a chain with a single initial version (ver 1).
     pub fn with_initial(epoch: u64, value: Value) -> Self {
-        VersionChain { versions: vec![(epoch, 1, value)], next_ver: 2 }
+        VersionChain { versions: vec![(epoch, 1, value)] }
     }
 
     /// The latest value, if any.
@@ -44,7 +52,20 @@ impl VersionChain {
 
     /// The latest value with its version number, if any.
     pub fn latest_versioned(&self) -> Option<(u64, &Value)> {
-        self.versions.last().map(|(_, ver, v)| (*ver, v))
+        self.versions.last().map(|(_, ver, v)| (ver & !FOLDED, v))
+    }
+
+    /// Whether the latest version was written after the digest last folded
+    /// this chain in (false for an empty chain).
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.versions.last().is_some_and(|(_, ver, _)| ver & FOLDED == 0)
+    }
+
+    /// Records that the digest has folded the latest version in.
+    pub(crate) fn mark_folded(&mut self) {
+        if let Some((_, ver, _)) = self.versions.last_mut() {
+            *ver |= FOLDED;
+        }
     }
 
     /// The epoch of the latest version, if any.
@@ -60,11 +81,13 @@ impl VersionChain {
     /// The newest value with version epoch ≤ `epoch`, plus its version
     /// number.
     pub fn get_at_versioned(&self, epoch: u64) -> Option<(u64, &Value)> {
-        match self.versions.binary_search_by_key(&epoch, |(e, _, _)| *e) {
-            Ok(i) => Some((self.versions[i].1, &self.versions[i].2)),
-            Err(0) => None,
-            Err(i) => Some((self.versions[i - 1].1, &self.versions[i - 1].2)),
-        }
+        let i = match self.versions.binary_search_by_key(&epoch, |(e, _, _)| *e) {
+            Ok(i) => i,
+            Err(0) => return None,
+            Err(i) => i - 1,
+        };
+        let (_, ver, value) = &self.versions[i];
+        Some((ver & !FOLDED, value))
     }
 
     /// Writes `value` at `epoch`, returning the installed version number.
@@ -79,11 +102,7 @@ impl VersionChain {
     /// Panics if `epoch` is older than the latest version — batches only
     /// move forward.
     pub fn put(&mut self, epoch: u64, value: Value) -> u64 {
-        if self.next_ver == 0 {
-            self.next_ver = 1;
-        }
-        let ver = self.next_ver;
-        self.next_ver += 1;
+        let ver = self.latest_versioned().map_or(1, |(ver, _)| ver + 1);
         match self.versions.last_mut() {
             Some((e, last_ver, v)) if *e == epoch => {
                 *last_ver = ver;
@@ -108,19 +127,21 @@ impl VersionChain {
         self.versions.is_empty()
     }
 
+    /// How many versions [`VersionChain::gc_before`] would drop at
+    /// `epoch`: those older than the newest version ≤ `epoch`. Non-zero
+    /// only when at least two versions have epoch ≤ `epoch`.
+    pub(crate) fn collectable(&self, epoch: u64) -> usize {
+        self.versions.iter().rposition(|(e, _, _)| *e <= epoch).unwrap_or(0)
+    }
+
     /// Drops all versions that are superseded at or before `epoch`,
     /// keeping the newest version ≤ `epoch` (still needed for snapshot
     /// reads at `epoch`) and everything newer. Returns the number of
     /// versions dropped (GC accounting). Version numbers of surviving
-    /// entries — and the allocation counter — are unchanged.
+    /// entries — and so the next number assigned — are unchanged.
     pub fn gc_before(&mut self, epoch: u64) -> usize {
-        let keep_from = match self.versions.iter().rposition(|(e, _, _)| *e <= epoch) {
-            Some(i) => i,
-            None => return 0,
-        };
-        if keep_from > 0 {
-            self.versions.drain(..keep_from);
-        }
+        let keep_from = self.collectable(epoch);
+        self.versions.drain(..keep_from);
         keep_from
     }
 }
@@ -226,5 +247,28 @@ mod tests {
         // counter keeps climbing.
         assert_eq!(c.get_at_versioned(3), Some((4, &Value::Int(3))));
         assert_eq!(c.put(9, Value::Int(9)), 7);
+    }
+
+    #[test]
+    fn every_write_dirties_and_folding_hides_no_version_number() {
+        let mut c = VersionChain::new();
+        assert!(!c.is_dirty());
+        c.put(1, Value::Int(1));
+        assert!(c.is_dirty());
+        c.mark_folded();
+        assert!(!c.is_dirty());
+        assert_eq!(c.latest_versioned(), Some((1, &Value::Int(1))));
+        assert_eq!(c.get_at_versioned(1), Some((1, &Value::Int(1))));
+        // A same-epoch overwrite and an append both dirty the chain again
+        // and keep counting from the folded version's number.
+        assert_eq!(c.put(1, Value::Int(2)), 2);
+        assert!(c.is_dirty());
+        c.mark_folded();
+        assert_eq!(c.put(2, Value::Int(3)), 3);
+        assert!(c.is_dirty());
+        c.mark_folded();
+        assert_eq!(c.gc_before(2), 1);
+        assert!(!c.is_dirty(), "GC keeps the folded latest version");
+        assert_eq!(c.put(3, Value::Int(4)), 4);
     }
 }

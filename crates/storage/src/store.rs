@@ -5,12 +5,87 @@ use crate::hash::StableHasher;
 use crate::latency::{AtomicLatency, LatencyConfig};
 use parking_lot::RwLock;
 use prognosticator_txir::{Key, TxStore, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default shard count (power of two).
 pub const DEFAULT_SHARDS: usize = 64;
+
+/// One key's versions plus its share of the shard's digest fold. The
+/// chain's latest version says whether it is folded in yet
+/// ([`VersionChain::is_dirty`]), so an entry is no larger than its chain
+/// and one hash.
+#[derive(Debug, Default)]
+struct Entry {
+    chain: VersionChain,
+    /// The entry hash currently added into [`Shard::acc`] (0 before the
+    /// first fold, so subtracting it is then a no-op).
+    folded: u64,
+}
+
+/// One lock's worth of the store, with the bookkeeping that keeps commit
+/// proportional to the keys a batch wrote: the digest is a commutative
+/// fold maintained per shard, and GC visits only keys listed as having
+/// gained a superseding version.
+#[derive(Debug, Default)]
+struct Shard {
+    chains: HashMap<Key, Entry>,
+    /// Per epoch, ascending: the keys whose chain gained a second-or-later
+    /// version in that epoch — the only chains a GC up to that epoch can
+    /// shrink. A key appears at most once per epoch.
+    gc_due: VecDeque<(u64, Vec<Key>)>,
+    /// Versions held by `chains`.
+    versions: usize,
+    /// Wrapping sum of every entry's `folded` hash. Every chain holds at
+    /// least one version, so the folded entry count is `chains.len()`.
+    acc: u64,
+    /// Entries whose chain is dirty.
+    dirty: usize,
+}
+
+impl Shard {
+    /// Re-folds the dirty entries (`acc += new − folded`) and returns the
+    /// shard's `(acc, entries)`.
+    fn fold(&mut self) -> (u64, u64) {
+        let mut left = self.dirty;
+        for (key, entry) in &mut self.chains {
+            if left == 0 {
+                break;
+            }
+            if entry.chain.is_dirty() {
+                let latest = entry.chain.latest().expect("a dirty chain has a version");
+                let hash = entry_hash(key, latest);
+                self.acc = self.acc.wrapping_sub(entry.folded).wrapping_add(hash);
+                entry.folded = hash;
+                entry.chain.mark_folded();
+                left -= 1;
+            }
+        }
+        self.dirty = 0;
+        let folded = (self.acc, self.chains.len() as u64);
+        #[cfg(debug_assertions)]
+        assert_eq!(folded, self.rehash(), "incremental digest fold diverged from a full rehash");
+        folded
+    }
+
+    /// The fold recomputed from every chain (the debug-build reference).
+    #[cfg(debug_assertions)]
+    fn rehash(&self) -> (u64, u64) {
+        self.chains
+            .iter()
+            .filter_map(|(k, e)| e.chain.latest().map(|v| entry_hash(k, v)))
+            .fold((0, 0), |(acc, entries), hash| (acc.wrapping_add(hash), entries + 1))
+    }
+}
+
+/// The stable hash of one `(key, latest value)` pair.
+fn entry_hash(key: &Key, value: &Value) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_key(key);
+    h.write_value(value);
+    h.finish_u64()
+}
 
 /// A multi-versioned key-value store organized in epochs.
 ///
@@ -30,9 +105,14 @@ pub const DEFAULT_SHARDS: usize = 64;
 /// [`EpochStore::advance_epoch`]. The store is sharded and thread-safe:
 /// concurrent writers in the deterministic runtime touch disjoint keys by
 /// construction, so shard locks are uncontended in the common case.
+///
+/// Committing costs O(keys written), not O(store): [`EpochStore::gc_before`]
+/// visits only the chains listed as superseded since the last collection,
+/// and [`EpochStore::state_digest`] re-hashes only the entries written since
+/// the last digest.
 #[derive(Debug)]
 pub struct EpochStore {
-    shards: Vec<RwLock<HashMap<Key, VersionChain>>>,
+    shards: Vec<RwLock<Shard>>,
     epoch: AtomicU64,
     latency: AtomicLatency,
 }
@@ -57,7 +137,7 @@ impl EpochStore {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
         EpochStore {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             epoch: AtomicU64::new(1),
             latency: AtomicLatency::default(),
         }
@@ -81,7 +161,7 @@ impl EpochStore {
         self.latency.set(latency);
     }
 
-    fn shard(&self, key: &Key) -> &RwLock<HashMap<Key, VersionChain>> {
+    fn shard(&self, key: &Key) -> &RwLock<Shard> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -103,10 +183,15 @@ impl EpochStore {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Installs an initial value at epoch 0 (population).
+    /// Installs an initial value at epoch 0 (population), replacing any
+    /// history the key had.
     pub fn insert_initial(&self, key: Key, value: Value) {
-        let mut shard = self.shard(&key).write();
-        shard.insert(key, VersionChain::with_initial(0, value));
+        let mut guard = self.shard(&key).write();
+        let shard = &mut *guard;
+        let entry = shard.chains.entry(key).or_default();
+        shard.versions = shard.versions - entry.chain.len() + 1;
+        shard.dirty += usize::from(!entry.chain.is_dirty());
+        entry.chain = VersionChain::with_initial(0, value);
     }
 
     /// Bulk population at epoch 0.
@@ -119,7 +204,7 @@ impl EpochStore {
     /// Reads the latest version of `key` (sees the current batch's writes).
     pub fn get_latest(&self, key: &Key) -> Option<Value> {
         self.latency.charge_read();
-        self.shard(key).read().get(key).and_then(|c| c.latest().cloned())
+        self.shard(key).read().chains.get(key).and_then(|e| e.chain.latest().cloned())
     }
 
     /// Reads the latest version of `key` with its per-key version number
@@ -127,7 +212,7 @@ impl EpochStore {
     /// `(0, None)` — version 0 is the virtual initial version.
     pub fn get_latest_versioned(&self, key: &Key) -> (u64, Option<Value>) {
         self.latency.charge_read();
-        match self.shard(key).read().get(key).and_then(|c| c.latest_versioned()) {
+        match self.shard(key).read().chains.get(key).and_then(|e| e.chain.latest_versioned()) {
             Some((ver, v)) => (ver, Some(v.clone())),
             None => (0, None),
         }
@@ -136,14 +221,14 @@ impl EpochStore {
     /// Reads the newest version of `key` with epoch ≤ `epoch`.
     pub fn get_at(&self, key: &Key, epoch: u64) -> Option<Value> {
         self.latency.charge_read();
-        self.shard(key).read().get(key).and_then(|c| c.get_at(epoch).cloned())
+        self.shard(key).read().chains.get(key).and_then(|e| e.chain.get_at(epoch).cloned())
     }
 
     /// Reads the newest version of `key` with epoch ≤ `epoch`, plus its
     /// per-key version number (`0` when nothing is visible).
     pub fn get_at_versioned(&self, key: &Key, epoch: u64) -> (u64, Option<Value>) {
         self.latency.charge_read();
-        match self.shard(key).read().get(key).and_then(|c| c.get_at_versioned(epoch)) {
+        match self.shard(key).read().chains.get(key).and_then(|e| e.chain.get_at_versioned(epoch)) {
             Some((ver, v)) => (ver, Some(v.clone())),
             None => (0, None),
         }
@@ -158,34 +243,66 @@ impl EpochStore {
     /// per-key version number the write installed.
     pub fn put_versioned(&self, key: &Key, value: Value) -> u64 {
         self.latency.charge_write();
+        let mut guard = self.shard(key).write();
+        let shard = &mut *guard;
+        // Read under the lock, so a shard's `gc_due` stays in epoch order.
         let epoch = self.current_epoch();
-        let mut shard = self.shard(key).write();
-        shard.entry(key.clone()).or_default().put(epoch, value)
+        let entry = shard.chains.entry(key.clone()).or_default();
+        let before = entry.chain.len();
+        shard.dirty += usize::from(!entry.chain.is_dirty());
+        let ver = entry.chain.put(epoch, value);
+        if entry.chain.len() > before {
+            shard.versions += 1;
+            if before > 0 {
+                match shard.gc_due.back_mut() {
+                    Some((due, keys)) if *due == epoch => keys.push(key.clone()),
+                    _ => shard.gc_due.push_back((epoch, vec![key.clone()])),
+                }
+            }
+        }
+        ver
     }
 
     /// Number of keys present (any version).
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| s.read().chains.len()).sum()
     }
 
     /// Total stored version count (diagnostics / GC sizing).
     pub fn version_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().values().map(VersionChain::len).sum::<usize>()).sum()
+        self.shards.iter().map(|s| s.read().versions).sum()
     }
 
     /// Garbage-collects history older than `epoch` (each key keeps its
     /// newest version ≤ `epoch` plus everything newer). Returns the
     /// number of versions reclaimed and mirrors GC accounting into the
     /// global metrics registry (`storage.gc_*`, `storage.live_versions`).
+    ///
+    /// Only the chains that gained a version in an epoch ≤ `epoch` since
+    /// the last collection are visited: any other chain holds at most one
+    /// version ≤ `epoch`, so it has nothing to drop.
     pub fn gc_before(&self, epoch: u64) -> usize {
         let mut removed = 0usize;
         let mut live = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            for chain in shard.values_mut() {
-                removed += chain.gc_before(epoch);
-                live += chain.len();
+        for lock in &self.shards {
+            let mut guard = lock.write();
+            let shard = &mut *guard;
+            while shard.gc_due.front().is_some_and(|(due, _)| *due <= epoch) {
+                let (_, keys) = shard.gc_due.pop_front().expect("front is due");
+                for key in &keys {
+                    if let Some(entry) = shard.chains.get_mut(key) {
+                        let dropped = entry.chain.gc_before(epoch);
+                        shard.versions -= dropped;
+                        removed += dropped;
+                    }
+                }
             }
+            #[cfg(debug_assertions)]
+            assert!(
+                shard.chains.values().all(|e| e.chain.collectable(epoch) == 0),
+                "a chain not listed for GC still holds versions collectable at epoch {epoch}"
+            );
+            live += shard.versions;
         }
         let reg = prognosticator_obs::Registry::global();
         reg.counter("storage.gc_runs").inc();
@@ -197,24 +314,18 @@ impl EpochStore {
     /// A deterministic digest of the latest state. Two replicas that
     /// executed the same batches must produce identical digests — the
     /// correctness check of deterministic databases.
+    ///
+    /// (key, latest value) pairs are hashed order-independently: a
+    /// commutative fold (wrapping add) of stable per-entry hashes, so
+    /// iteration order across shards and maps does not matter. Each shard
+    /// keeps its share of the fold and re-hashes only the entries written
+    /// since the last call.
     pub fn state_digest(&self) -> u64 {
-        // Hash (key, value) pairs order-independently by combining
-        // per-entry hashes with a commutative fold (wrapping add of a
-        // stable per-entry hash). Iteration order across shards/maps then
-        // does not matter.
-        let mut acc: u64 = 0;
-        let mut entries: u64 = 0;
-        for shard in &self.shards {
-            let shard = shard.read();
-            for (k, chain) in shard.iter() {
-                if let Some(v) = chain.latest() {
-                    let mut h = StableHasher::new();
-                    h.write_key(k);
-                    h.write_value(v);
-                    acc = acc.wrapping_add(h.finish_u64());
-                    entries += 1;
-                }
-            }
+        let (mut acc, mut entries) = (0u64, 0u64);
+        for lock in &self.shards {
+            let (shard_acc, shard_entries) = lock.write().fold();
+            acc = acc.wrapping_add(shard_acc);
+            entries += shard_entries;
         }
         let mut h = StableHasher::new();
         h.write_u64(acc);

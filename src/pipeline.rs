@@ -706,9 +706,9 @@ impl Pipeline {
                 self.publish_health_gauges();
                 return Err(PipelineError::ReplicaLagged { replica: idx });
             }
-            let log = self.cluster.committed(node);
-            let new_batches = self.live_batches(log.iter().skip(consumed));
-            self.replicas[idx].consumed = log.len();
+            let suffix = self.cluster.committed_from(node, consumed);
+            let new_batches = self.live_batches(suffix.iter());
+            self.replicas[idx].consumed += suffix.len();
             if new_batches.is_empty() {
                 continue;
             }

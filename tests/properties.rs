@@ -11,7 +11,7 @@
 //!    optimizations change the analysis cost, never the predictions.
 
 use proptest::prelude::*;
-use prognosticator::core::{baselines, Catalog, Replica, TxRequest};
+use prognosticator::core::{baselines, Catalog, FaultPlan, Replica, SchedulerConfig, TxRequest};
 use prognosticator::storage::EpochStore;
 use prognosticator::symexec::{analyze, ExplorerConfig, TxClass};
 use prognosticator::txir::{
@@ -282,7 +282,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Two replicas fed the same randomly generated batches converge, for
-    /// a random scheduling variant.
+    /// a random scheduling variant, quiet and under injected worker
+    /// panics. Replica `a` garbage-collects every batch and `b` never
+    /// does, so GC is shown not to change the state.
     #[test]
     fn random_programs_schedule_deterministically(
         blocks in prop::collection::vec(program_strategy(), 2..4),
@@ -303,35 +305,41 @@ proptest! {
             _ => baselines::mq_sf_r(2),
         };
 
-        let make = || {
-            let store = Arc::new(populated_store());
-            Replica::with_store(config.clone(), Arc::clone(&catalog), store)
-        };
-        let mut a = make();
-        let mut b = make();
-        // Deterministic LCG over the seed for batch composition.
-        let mut state = seed as i64 + 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33).abs()
-        };
-        for _ in 0..3 {
-            let batch: Vec<TxRequest> = (0..12)
-                .map(|_| {
-                    let p = ids[(next() as usize) % ids.len()];
-                    TxRequest::new(
-                        p,
-                        vec![Value::Int(next() % KEYSPACE), Value::Int(next() % KEYSPACE)],
-                    )
-                })
-                .collect();
-            let oa = a.execute_batch(batch.clone());
-            let ob = b.execute_batch(batch);
-            prop_assert_eq!(oa.committed, ob.committed);
-            prop_assert_eq!(a.state_digest(), b.state_digest());
+        for plan in [None, Some(FaultPlan::quiet(seed).with_worker_panics(150))] {
+            let make = |gc_keep_epochs| {
+                let store = Arc::new(populated_store());
+                let config = SchedulerConfig { gc_keep_epochs, ..config.clone() };
+                let mut replica = Replica::with_store(config, Arc::clone(&catalog), store);
+                replica.set_fault_plan(plan.clone());
+                replica
+            };
+            let mut a = make(Some(1));
+            let mut b = make(None);
+            // Deterministic LCG over the seed for batch composition.
+            let mut state = seed as i64 + 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33).abs()
+            };
+            for _ in 0..3 {
+                let batch: Vec<TxRequest> = (0..12)
+                    .map(|_| {
+                        let p = ids[(next() as usize) % ids.len()];
+                        TxRequest::new(
+                            p,
+                            vec![Value::Int(next() % KEYSPACE), Value::Int(next() % KEYSPACE)],
+                        )
+                    })
+                    .collect();
+                let oa = a.execute_batch(batch.clone());
+                let ob = b.execute_batch(batch);
+                prop_assert_eq!(&oa.outcomes, &ob.outcomes);
+                prop_assert_eq!(a.state_digest(), b.state_digest());
+            }
+            prop_assert!(a.store().version_count() <= b.store().version_count());
+            a.shutdown();
+            b.shutdown();
         }
-        a.shutdown();
-        b.shutdown();
     }
 }
 
