@@ -19,7 +19,7 @@
 
 use crate::simnet::{NetConfig, NodeId, SimNet};
 use crate::wal::{DurabilityStats, HardState, LogStore, MemLogStore, SnapshotData};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -185,6 +185,9 @@ enum Role {
 pub struct NodeView<T> {
     /// Committed entries in order.
     pub committed: RwLock<Vec<LogEntry<T>>>,
+    /// The proposal id of every entry in `committed`, so "has this
+    /// proposal committed here?" is one lookup, not a scan of the log.
+    pub committed_ids: RwLock<HashSet<u64>>,
     /// Current term (best effort, for diagnostics).
     pub term: RwLock<u64>,
     /// Whether this node currently believes itself leader.
@@ -203,11 +206,65 @@ impl<T> Default for NodeView<T> {
     fn default() -> Self {
         NodeView {
             committed: RwLock::new(Vec::new()),
+            committed_ids: RwLock::new(HashSet::new()),
             term: RwLock::new(0),
             is_leader: AtomicBool::new(false),
             leader_terms: RwLock::new(Vec::new()),
             commit_index: AtomicU64::new(0),
             snapshot_installs: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<T> NodeView<T> {
+    /// Appends one newly committed entry (entry first, then its id, so a
+    /// visible id implies a visible entry).
+    fn publish(&self, entry: LogEntry<T>) {
+        let id = entry.id;
+        self.committed.write().push(entry);
+        self.committed_ids.write().insert(id);
+    }
+}
+
+/// The cluster's commit signal, shared by every node and every waiter: a
+/// generation counter that a node bumps (under the mutex) after it
+/// publishes a commit, installs or recovers a snapshot, or gains or
+/// loses leadership, plus a condvar to sleep on until the next bump.
+///
+/// No wake-up is lost. A waiter reads the generation *before* probing its
+/// predicate, and parks only while the generation still equals what it
+/// read. A publication that lands after the probe bumps the generation
+/// under the same mutex: either before the waiter re-locks (it sees the
+/// new generation and probes again without sleeping) or while it is
+/// parked (the bump's `notify_all` wakes it).
+#[derive(Debug, Default)]
+struct CommitSignal {
+    generation: Mutex<u64>,
+    changed: Condvar,
+}
+
+impl CommitSignal {
+    fn notify(&self) {
+        *self.generation.lock() += 1;
+        self.changed.notify_all();
+    }
+
+    /// Probes `ready` after every bump until it holds (true) or
+    /// `deadline` passes with it still false.
+    fn wait_until(&self, deadline: Instant, mut ready: impl FnMut() -> bool) -> bool {
+        loop {
+            let seen = *self.generation.lock();
+            if ready() {
+                return true;
+            }
+            let mut generation = self.generation.lock();
+            while *generation == seen {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                self.changed.wait_for(&mut generation, left);
+            }
         }
     }
 }
@@ -239,6 +296,7 @@ struct Node<T> {
     match_index: Vec<u64>,
     leader_hint: Option<NodeId>,
     view: Arc<NodeView<T>>,
+    signal: Arc<CommitSignal>,
     subscribers: Vec<Sender<LogEntry<T>>>,
     store: SharedLogStore<T>,
     compact_to: Arc<AtomicU64>,
@@ -312,6 +370,13 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             .save_hard_state(HardState { term: self.term, voted_for: self.voted_for });
     }
 
+    /// Publishes whether this node leads; a change wakes the waiters.
+    fn set_leader(&self, leader: bool) {
+        if self.view.is_leader.swap(leader, Ordering::AcqRel) != leader {
+            self.signal.notify();
+        }
+    }
+
     fn reset_election_deadline(&mut self) {
         self.election_attempt += 1;
         let span = self.timing.election_max - self.timing.election_min;
@@ -341,13 +406,13 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.role = Role::Follower;
         self.voted_for = None;
         self.persist_hard_state();
-        self.view.is_leader.store(false, Ordering::Release);
+        self.set_leader(false);
         *self.view.term.write() = term;
     }
 
     fn become_leader(&mut self, net: &SimNet<RaftMsg<T>>) {
         self.role = Role::Leader;
-        self.view.is_leader.store(true, Ordering::Release);
+        self.set_leader(true);
         self.view.leader_terms.write().push(self.term);
         prognosticator_obs::Registry::global().counter("raft.leader_wins").inc();
         self.next_index = vec![self.last_log_index() + 1; self.n];
@@ -363,7 +428,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.deadline = Instant::now(); // heartbeat immediately
         self.broadcast_append(net);
         if self.n == 1 {
-            self.advance_commit();
+            self.advance_commit(net);
         }
     }
 
@@ -375,7 +440,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.persist_hard_state();
         *self.view.term.write() = self.term;
         self.votes = 1;
-        self.view.is_leader.store(false, Ordering::Release);
+        self.set_leader(false);
         self.reset_election_deadline();
         for peer in 0..self.n {
             if peer != self.id {
@@ -439,7 +504,12 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.deadline = Instant::now() + self.timing.heartbeat;
     }
 
-    fn advance_commit(&mut self) {
+    /// Commits the highest current-term index a majority holds, then
+    /// pushes the new commit index to the followers at once (entries go
+    /// only to peers still lacking them, as in a heartbeat), so they
+    /// publish the commit one message delay later instead of at the next
+    /// heartbeat.
+    fn advance_commit(&mut self, net: &SimNet<RaftMsg<T>>) {
         if self.role != Role::Leader {
             return;
         }
@@ -450,6 +520,9 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             let replicas = self.match_index.iter().filter(|&&m| m >= n).count();
             if replicas * 2 > self.n {
                 self.set_commit(n);
+                if self.n > 1 {
+                    self.broadcast_append(net);
+                }
                 break;
             }
         }
@@ -457,6 +530,9 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
 
     fn set_commit(&mut self, index: u64) {
         let index = index.min(self.last_log_index());
+        if self.commit_index >= index {
+            return;
+        }
         while self.commit_index < index {
             self.commit_index += 1;
             debug_assert!(self.commit_index > self.log_base, "commit below snapshot base");
@@ -465,11 +541,12 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             // clients: only records carrying a payload are published.
             if let Some(payload) = rec.payload {
                 let entry = LogEntry { term: rec.term, id: rec.id, payload };
-                self.view.committed.write().push(entry.clone());
                 self.subscribers.retain(|s| s.send(entry.clone()).is_ok());
+                self.view.publish(entry);
             }
         }
         self.view.commit_index.store(self.commit_index, Ordering::Release);
+        self.signal.notify();
     }
 
     /// Compacts the log up to `min(watermark, commit_index)`: persists a
@@ -517,13 +594,10 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             self.log.clear();
         }
         self.log_base = snap.last_index;
-        {
-            let mut committed = self.view.committed.write();
-            let old_len = committed.len();
-            for e in snap.entries.iter().skip(old_len) {
-                committed.push(e.clone());
-                self.subscribers.retain(|s| s.send(e.clone()).is_ok());
-            }
+        let old_len = self.view.committed.read().len();
+        for e in snap.entries.iter().skip(old_len) {
+            self.subscribers.retain(|s| s.send(e.clone()).is_ok());
+            self.view.publish(e.clone());
         }
         if snap.last_index > self.commit_index {
             self.commit_index = snap.last_index;
@@ -532,6 +606,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
         self.view.snapshot_installs.fetch_add(1, Ordering::AcqRel);
         self.snapshot = Some(snap);
         self.rebuild_known_ids();
+        self.signal.notify();
     }
 
     fn handle(&mut self, msg: RaftMsg<T>, net: &SimNet<RaftMsg<T>>) {
@@ -580,7 +655,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
                     self.become_follower(term);
                 } else {
                     self.role = Role::Follower;
-                    self.view.is_leader.store(false, Ordering::Release);
+                    self.set_leader(false);
                 }
                 self.reset_election_deadline(); // valid leader contact
                 self.leader_hint = Some(leader);
@@ -609,7 +684,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
                 if success {
                     self.match_index[from] = self.match_index[from].max(match_index);
                     self.next_index[from] = self.match_index[from] + 1;
-                    self.advance_commit();
+                    self.advance_commit(net);
                 } else {
                     // Back off (to the follower's hint) and retry at the
                     // next heartbeat.
@@ -629,7 +704,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
                         self.match_index[self.id] = self.last_log_index();
                         self.broadcast_append(net);
                         if self.n == 1 {
-                            self.advance_commit();
+                            self.advance_commit(net);
                         }
                     }
                 }
@@ -660,7 +735,7 @@ impl<T: Clone + Send + Sync + 'static> Node<T> {
             self.become_follower(term);
         } else if self.role != Role::Leader {
             self.role = Role::Follower;
-            self.view.is_leader.store(false, Ordering::Release);
+            self.set_leader(false);
         } else {
             return; // two leaders in one term cannot happen
         }
@@ -765,6 +840,7 @@ struct Seat<T> {
 pub struct RaftCluster<T: Clone + Send + Sync + 'static> {
     net: Arc<SimNet<RaftMsg<T>>>,
     seats: Vec<Seat<T>>,
+    signal: Arc<CommitSignal>,
     timing: RaftTiming,
     seed: u64,
     next_id: AtomicU64,
@@ -833,6 +909,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             })
             .max()
             .unwrap_or(0);
+        let signal = Arc::new(CommitSignal::default());
         let mut seats = Vec::new();
         for ((id, rx), (subs, store)) in
             (0..n).zip(rxs).zip(subscribers.into_iter().zip(stores))
@@ -848,6 +925,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
                 timing.clone(),
                 seed,
                 Arc::clone(&view),
+                Arc::clone(&signal),
                 Arc::clone(&store),
                 Arc::clone(&compact_to),
                 Arc::clone(&shutdown),
@@ -856,7 +934,14 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             );
             seats.push(Seat { view, store, compact_to, shutdown, handle: Some(handle), subscribers: subs });
         }
-        RaftCluster { net, seats, timing, seed, next_id: AtomicU64::new(max_recovered_id + 1) }
+        RaftCluster {
+            net,
+            seats,
+            signal,
+            timing,
+            seed,
+            next_id: AtomicU64::new(max_recovered_id + 1),
+        }
     }
 
     /// The simulated network (for partitions / fault injection).
@@ -895,14 +980,21 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
 
     /// Waits until some node is leader.
     pub fn wait_for_leader(&self, timeout: Duration) -> Option<NodeId> {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if let Some(l) = self.leader() {
-                return Some(l);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        None
+        let mut leader = None;
+        self.wait_until(timeout, || {
+            leader = self.leader();
+            leader.is_some()
+        });
+        leader
+    }
+
+    /// Blocks on the cluster's commit signal until `ready` holds or
+    /// `timeout` passes, probing `ready` again after every commit,
+    /// snapshot install and leadership change on any node. Returns
+    /// whether `ready` held. `ready` should depend only on that state:
+    /// nothing else wakes the wait.
+    pub fn wait_until(&self, timeout: Duration, ready: impl FnMut() -> bool) -> bool {
+        self.signal.wait_until(Instant::now() + timeout, ready)
     }
 
     /// Broadcasts a proposal (assigning it a fresh id) to every node; the
@@ -938,12 +1030,9 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
         let deadline = Instant::now() + timeout;
         loop {
             self.propose_with_id(id, payload.clone());
-            let wait_until = (Instant::now() + Duration::from_millis(40)).min(deadline);
-            while Instant::now() < wait_until {
-                if self.proposal_committed(id) {
-                    return true;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            let rebroadcast_at = (Instant::now() + Duration::from_millis(40)).min(deadline);
+            if self.signal.wait_until(rebroadcast_at, || self.proposal_committed(id)) {
+                return true;
             }
             if Instant::now() >= deadline {
                 return false;
@@ -953,7 +1042,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
 
     /// Whether some node has committed the proposal with this id.
     pub fn proposal_committed(&self, id: u64) -> bool {
-        self.seats.iter().any(|s| s.view.committed.read().iter().any(|e| e.id == id))
+        self.seats.iter().any(|s| s.view.committed_ids.read().contains(&id))
     }
 
     /// Proposes and re-broadcasts until the entry commits on `observer`,
@@ -990,14 +1079,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
 
     /// Waits until `node` has committed at least `count` entries.
     pub fn wait_for_committed(&self, node: NodeId, count: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.seats[node].view.committed.read().len() >= count {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
+        self.wait_until(timeout, || self.seats[node].view.committed.read().len() >= count)
     }
 
     /// Requests every node compact its log up to `index` (clamped to each
@@ -1017,11 +1099,16 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
     /// Merged durability counters across all nodes' stores.
     pub fn durability_stats(&self) -> DurabilityReport {
         let mut report = DurabilityReport::default();
-        for seat in &self.seats {
-            report.store = report.store.merge(&seat.store.lock().stats());
+        for (node, seat) in self.seats.iter().enumerate() {
+            report.store = report.store.merge(&self.durability_stats_of(node));
             report.snapshot_installs += seat.view.snapshot_installs.load(Ordering::Acquire);
         }
         report
+    }
+
+    /// `node`'s own durable-store counters.
+    pub fn durability_stats_of(&self, node: NodeId) -> DurabilityStats {
+        self.seats[node].store.lock().stats()
     }
 
     /// Arms a one-shot injected disk fault on `node`'s durable store,
@@ -1069,6 +1156,7 @@ impl<T: Clone + Send + Sync + 'static> RaftCluster<T> {
             self.timing.clone(),
             self.seed,
             view,
+            Arc::clone(&self.signal),
             Arc::clone(&seat.store),
             Arc::clone(&seat.compact_to),
             Arc::clone(&seat.shutdown),
@@ -1105,6 +1193,7 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
     timing: RaftTiming,
     seed: u64,
     view: Arc<NodeView<T>>,
+    signal: Arc<CommitSignal>,
     store: SharedLogStore<T>,
     compact_to: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
@@ -1122,8 +1211,11 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
             let log_base = snapshot.as_ref().map_or(0, |s| s.last_index);
             let commit_index = log_base;
             if let Some(snap) = &snapshot {
-                *view.committed.write() = snap.entries.clone();
+                for e in &snap.entries {
+                    view.publish(e.clone());
+                }
                 view.commit_index.store(log_base, Ordering::Release);
+                signal.notify();
             }
             *view.term.write() = hard.term;
             let known_ids = known_ids_of(&log, snapshot.as_ref());
@@ -1143,6 +1235,7 @@ fn spawn_node_thread<T: Clone + Send + Sync + 'static>(
                 match_index: vec![0; n],
                 leader_hint: None,
                 view,
+                signal,
                 subscribers,
                 store,
                 compact_to,
@@ -1229,6 +1322,28 @@ mod tests {
             for from in [0, 4, 10, 11] {
                 let suffix = c.committed_from(node, from);
                 assert_eq!(suffix, full.get(from..).unwrap_or_default(), "node {node} from {from}");
+            }
+        }
+    }
+
+    #[test]
+    fn followers_commit_without_waiting_for_a_heartbeat() {
+        // The heartbeat (250 ms) is far longer than the 50 ms each
+        // follower gets: only the leader's commit push can make it.
+        let timing = RaftTiming {
+            election_min: Duration::from_millis(300),
+            election_max: Duration::from_millis(600),
+            heartbeat: Duration::from_millis(250),
+        };
+        let c = RaftCluster::new(3, NetConfig::default(), timing, 8);
+        let leader = c.wait_for_leader(Duration::from_secs(10)).expect("leader");
+        for k in 1..=20u64 {
+            assert!(c.propose_until_committed(k, Duration::from_secs(5)), "entry {k}");
+            for f in (0..3).filter(|&f| f != leader) {
+                assert!(
+                    c.wait_for_committed(f, k as usize, Duration::from_millis(50)),
+                    "follower {f} lacks entry {k} 50 ms after the leader committed it"
+                );
             }
         }
     }

@@ -119,11 +119,12 @@ fn follower_beyond_compaction_horizon_rejoins_via_snapshot_install() {
         assert!(c.propose_until_committed(i, Duration::from_secs(10)), "entry {i}");
     }
     c.compact_before(c.max_commit_index());
-    // Wait until the leader has actually compacted (its store reports a
-    // snapshot) so the heal cannot be served by plain log replay.
+    // Wait until the leader itself has compacted (its own store reports a
+    // snapshot) so the heal cannot be served by plain log replay. Another
+    // node's snapshot proves nothing: the live follower may compact first.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if c.durability_stats().store.snapshots_written > 0 {
+        if c.durability_stats_of(leader).snapshots_written > 0 {
             break;
         }
         assert!(Instant::now() < deadline, "leader never compacted");

@@ -23,7 +23,7 @@ use prognosticator_storage::EpochStore;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the assembled pipeline.
 #[derive(Clone)]
@@ -200,7 +200,9 @@ pub struct Pipeline {
     catalog: Arc<Catalog>,
     config: PipelineConfig,
     populate: Arc<dyn Fn(&EpochStore) + Send + Sync>,
-    cluster: RaftCluster<LogRecord>,
+    /// Every node's log, WAL store and committed view share one
+    /// allocation per batch.
+    cluster: RaftCluster<Arc<LogRecord>>,
     replicas: Vec<ReplicaSlot>,
     batcher: Batcher<TxRequest>,
     /// Batches committed through consensus — the sync target.
@@ -269,7 +271,7 @@ impl Pipeline {
             Some(dir) => {
                 // One durable WAL per consensus node; reopening the same
                 // directory recovers hard state, log, and snapshot.
-                let mut stores: Vec<Box<dyn LogStore<LogRecord>>> = Vec::new();
+                let mut stores: Vec<Box<dyn LogStore<Arc<LogRecord>>>> = Vec::new();
                 for node in 0..config.consensus_nodes {
                     let store = WalStore::open(dir.join(format!("node{node}")), LogRecordCodec)
                         .map_err(|e| PipelineError::WalFailed { detail: e.to_string() })?;
@@ -487,7 +489,7 @@ impl Pipeline {
             self.degraded_batches += 1;
             prognosticator_obs::Registry::global().counter("pipeline.degraded_batches").inc();
         }
-        let record = LogRecord::Batch(batch);
+        let record = Arc::new(LogRecord::Batch(batch));
         // Inject this batch's consensus disruption, if any. A majority is
         // always left intact, so the cluster can still make progress; the
         // disruption is healed before the first retry (transient fault).
@@ -528,7 +530,7 @@ impl Pipeline {
             // after the heal, every consumer skips it, so quarantine +
             // resubmission stays exactly-once.
             self.voided_ids.insert(id);
-            let LogRecord::Batch(batch) = record;
+            let LogRecord::Batch(batch) = Arc::unwrap_or_clone(record);
             self.quarantine.admit(
                 batch,
                 attempts,
@@ -609,29 +611,20 @@ impl Pipeline {
     /// Waits until `node` has committed at least `count` live entries —
     /// entries whose proposal id was not voided at quarantine time. When
     /// nothing has ever been voided this is the cluster's cheap length
-    /// check; otherwise the committed prefix is scanned, because a voided
-    /// entry resurfacing from a deposed leader's log must not satisfy the
-    /// wait in place of a real batch.
+    /// check; otherwise live entries are counted from a cursor, because a
+    /// voided entry resurfacing from a deposed leader's log must not
+    /// satisfy the wait in place of a real batch.
     fn wait_for_live_committed(&self, node: usize, count: usize, timeout: Duration) -> bool {
         if self.voided_ids.is_empty() {
             return self.cluster.wait_for_committed(node, count, timeout);
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let live = self
-                .cluster
-                .committed(node)
-                .iter()
-                .filter(|entry| !self.voided_ids.contains(&entry.id))
-                .count();
-            if live >= count {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let (mut cursor, mut live) = (0, 0);
+        self.cluster.wait_until(timeout, || {
+            let suffix = self.cluster.committed_from(node, cursor);
+            cursor += suffix.len();
+            live += suffix.iter().filter(|entry| !self.voided_ids.contains(&entry.id)).count();
+            live >= count
+        })
     }
 
     /// Poison batches that exhausted their retries, oldest first.
@@ -776,7 +769,7 @@ impl Pipeline {
     }
 
     /// The consensus cluster (fault injection in tests).
-    pub fn cluster(&self) -> &RaftCluster<LogRecord> {
+    pub fn cluster(&self) -> &RaftCluster<Arc<LogRecord>> {
         &self.cluster
     }
 
@@ -792,12 +785,12 @@ impl Pipeline {
     /// The batches of `entries` whose proposal id was not voided.
     fn live_batches<'a>(
         &self,
-        entries: impl Iterator<Item = &'a LogEntry<LogRecord>>,
+        entries: impl Iterator<Item = &'a LogEntry<Arc<LogRecord>>>,
     ) -> Vec<Vec<TxRequest>> {
         entries
             .filter(|entry| !self.voided_ids.contains(&entry.id))
             .map(|entry| {
-                let LogRecord::Batch(batch) = &entry.payload;
+                let LogRecord::Batch(batch) = &*entry.payload;
                 batch.clone()
             })
             .collect()
@@ -1211,6 +1204,36 @@ mod tests {
         assert!(d.store.wal_fsyncs > 0, "durable pipeline must fsync");
         assert!(d.store.wal_appends > 0);
         assert!(dir.join("node0").join("wal.log").exists(), "WAL file on disk");
+        p.shutdown();
+    }
+
+    #[test]
+    fn every_node_shares_one_payload_allocation_per_batch() {
+        let (catalog, bump) = counter_catalog();
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target/tmp/pipeline-wal")
+            .join(format!("shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PipelineConfig { wal_dir: Some(dir), ..small_config() };
+        // Three replicas: one reads from each consensus node.
+        let mut p = Pipeline::new(catalog, config, 3, populate()).expect("boots");
+        for i in 0..32 {
+            p.submit(TxRequest::new(bump, vec![Value::Int(i % 16)])).expect("submits");
+        }
+        p.flush().expect("flushes");
+        p.sync().expect("syncs");
+        let logs: Vec<_> = (0..3).map(|node| p.cluster().committed(node)).collect();
+        assert_eq!(logs[0].len(), p.committed_batches());
+        for log in &logs[1..] {
+            assert_eq!(log.len(), logs[0].len());
+            for (a, b) in logs[0].iter().zip(log) {
+                assert!(Arc::ptr_eq(&a.payload, &b.payload), "entry {} copied", a.id);
+            }
+        }
+        // `sync` asserted the replicas' outcome journals agree.
+        assert_eq!(p.outcome_journal().len(), p.committed_batches());
+        let d = p.digests();
+        assert!(d.windows(2).all(|w| w[0] == w[1]), "replica digests {d:?}");
         p.shutdown();
     }
 

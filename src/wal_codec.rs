@@ -226,6 +226,18 @@ impl Codec<LogRecord> for LogRecordCodec {
     }
 }
 
+/// The pipeline's cluster shares one allocation per batch across every
+/// node's log, store and committed view; on disk it is the same bytes.
+impl Codec<Arc<LogRecord>> for LogRecordCodec {
+    fn encode(&self, record: &Arc<LogRecord>, out: &mut Vec<u8>) {
+        Codec::<LogRecord>::encode(self, record, out);
+    }
+
+    fn decode(&self, bytes: &[u8]) -> Result<Arc<LogRecord>, WalError> {
+        Codec::<LogRecord>::decode(self, bytes).map(Arc::new)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +310,7 @@ mod tests {
         let codec = LogRecordCodec;
         let mut buf = Vec::new();
         codec.encode(&record, &mut buf);
-        assert_eq!(codec.decode(&buf).expect("decodes"), record);
+        assert_eq!(Codec::<LogRecord>::decode(&codec, &buf).expect("decodes"), record);
         buf
     }
 
@@ -308,6 +320,18 @@ mod tests {
         record_roundtrip(LogRecord::Batch(vec![
             TxRequest::new(ProgId(3), vec![Value::Int(-7), Value::str("wal")]),
         ]));
+    }
+
+    #[test]
+    fn shared_record_bytes_equal_plain_record_bytes() {
+        let record = LogRecord::Batch(vec![TxRequest::new(ProgId(2), vec![Value::str("arc")])]);
+        let plain = record_roundtrip(record.clone());
+        let shared = Arc::new(record);
+        let mut bytes = Vec::new();
+        LogRecordCodec.encode(&shared, &mut bytes);
+        assert_eq!(bytes, plain);
+        let back: Arc<LogRecord> = LogRecordCodec.decode(&bytes).expect("decodes");
+        assert_eq!(back, shared);
     }
 
     #[test]
@@ -338,12 +362,13 @@ mod tests {
                 put_u32(out, 0);
             }
             fn decode(&self, bytes: &[u8]) -> Result<LogRecord, WalError> {
-                LogRecordCodec.decode(bytes)
+                Codec::<LogRecord>::decode(&LogRecordCodec, bytes)
             }
         }
 
         for bytes in [&[][..], &[1], &[7, 0, 0, 0, 0]] {
-            assert!(matches!(LogRecordCodec.decode(bytes), Err(WalError::Corrupt(_))));
+            let decoded: Result<LogRecord, _> = LogRecordCodec.decode(bytes);
+            assert!(matches!(decoded, Err(WalError::Corrupt(_))));
         }
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("target/tmp/wal-codec")
@@ -351,11 +376,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let batch = LogRecord::Batch(vec![TxRequest::new(ProgId(1), vec![Value::Int(7)])]);
         let record = |id| Record { term: 1, id, payload: Some(batch.clone()) };
-        WalStore::open(&dir, LogRecordCodec).expect("opens").append(&record(1));
+        WalStore::<LogRecord, _>::open(&dir, LogRecordCodec).expect("opens").append(&record(1));
         WalStore::open(&dir, RetiredTag).expect("reopens").append(&record(2));
         // The tag-1 frame is CRC-valid, so it is not a torn tail to drop:
         // opening must fail loudly instead of yielding a one-record log.
-        match WalStore::open(&dir, LogRecordCodec) {
+        match WalStore::<LogRecord, _>::open(&dir, LogRecordCodec) {
             Err(WalError::Corrupt(why)) => assert_eq!(why, "unknown record tag 1"),
             Err(other) => panic!("expected Corrupt, got {other}"),
             Ok(wal) => panic!("opened past a retired tag with {} records", wal.records().len()),
