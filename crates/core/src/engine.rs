@@ -32,15 +32,15 @@
 //! their symbolic-execution profiles into a [`PreparedBatch`] — a pure
 //! function of the batch contents and the catalog, touching no store state
 //! — and [`Engine::execute`] runs the phases above against the store.
-//! Because classification is store-independent, `prepare` for batch `N+1`
-//! may run *while batch `N` executes* (the paper's single-queuer overlap):
-//! [`Engine::submit_prepare`]/[`Engine::recv_prepared`] hand batches to a
-//! dedicated queuer thread, and `execute` takes `&self` (the engine is
-//! interior-mutable and `Arc`-shareable), with an internal lock keeping
-//! execution itself serial. Dependent-transaction preparation reads the
-//! store and therefore stays inside `execute`, where it sees exactly the
-//! epochs the unpipelined path would — outcomes are byte-identical either
-//! way.
+//! Because classification is store-independent, batch `N+1` may be
+//! classified *while batch `N` executes* (the paper's single-queuer
+//! overlap): [`crate::Replica::execute_stream`] hands batch `N+1` to batch
+//! `N`'s execution, and the queuer classifies it one transaction at a time
+//! in the update phases, where it would otherwise wait for the workers,
+//! finishing any remainder after commit. Dependent-transaction preparation
+//! reads the store and therefore stays inside `execute`, where it sees
+//! exactly the epochs the unpipelined path would — outcomes are
+//! byte-identical either way.
 //!
 //! **Deterministic abort protocol.** A transaction whose own logic fails
 //! (a workload bug surfacing as [`TxFailure::Eval`]) or whose worker
@@ -67,7 +67,6 @@ use prognosticator_storage::{EpochStore, LatencyConfig};
 use prognosticator_symexec::TxClass;
 use prognosticator_txir::{Key, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -185,9 +184,10 @@ pub enum TxOutcome {
 /// in the bench simulator, which reuses this struct).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Classification + direct-prediction time (the `prepare` stage).
-    /// Measured wherever the stage ran — on the caller for the inline
-    /// path, on the queuer thread for prepare-ahead.
+    /// Classification + direct-prediction time (the `prepare` stage),
+    /// summed over every stretch the queuer spent on it — inside the
+    /// previous batch's update phases under prepare-ahead, in one piece
+    /// otherwise.
     pub predict_ns: u64,
     /// Lock-queue population: dependent-transaction preparation plus
     /// lock-table build/publish, summed over scheduling rounds.
@@ -199,8 +199,9 @@ pub struct StageTimings {
     pub commit_ns: u64,
     /// Outcome assembly (outputs, verdicts, latency harvest).
     pub apply_ns: u64,
-    /// How much of `predict_ns` was hidden behind the previous batch's
-    /// execution (prepare-ahead overlap). Zero on the unpipelined path.
+    /// The part of `predict_ns` spent classifying this batch inside the
+    /// previous batch's update phases (prepare-ahead overlap). Zero on the
+    /// unpipelined path.
     pub overlap_ns: u64,
     /// Fresh lock-queue allocations this batch (zero once the builder's
     /// recycled pools cover the working set).
@@ -333,11 +334,6 @@ impl BatchOutcome {
     }
 }
 
-/// How many batches may sit in the queuer thread's channels. The
-/// pipelined executor keeps at most `depth ≤ 1` in flight, so this never
-/// blocks a sender; the headroom only decouples teardown ordering.
-const QUEUER_CHANNEL_CAP: usize = 2;
-
 fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
@@ -364,6 +360,8 @@ pub struct PreparedBatch {
     dt_idxs: Vec<TxIdx>,
     it_idxs: Vec<TxIdx>,
     predict_ns: u64,
+    /// The part of `predict_ns` spent inside another batch's update phases.
+    overlap_ns: u64,
 }
 
 impl PreparedBatch {
@@ -618,22 +616,79 @@ fn note_waiters(work: &BatchWork, table: &LockTable) {
     }
 }
 
-/// The prepare-ahead queuer thread's endpoints. The thread is spawned
-/// lazily on the first [`Engine::submit_prepare`]; an engine that never
-/// pipelines never pays for it.
-#[derive(Default)]
-struct QueuerState {
-    submit: Option<mpsc::SyncSender<Vec<TxRequest>>>,
-    prepared: Option<mpsc::Receiver<Result<PreparedBatch, String>>>,
-    handle: Option<JoinHandle<()>>,
+/// Classifies a batch one transaction at a time, so the queuer can fill
+/// the waits of another batch's update phase with it. Panics are held
+/// back until [`Classifier::finish`], so the batch being executed never
+/// sees them.
+struct Classifier<'a> {
+    engine: &'a Engine,
+    pending: std::vec::IntoIter<TxRequest>,
+    batch: PreparedBatch,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<'a> Classifier<'a> {
+    fn new(engine: &'a Engine, requests: Vec<TxRequest>) -> Self {
+        let batch = PreparedBatch {
+            slots: Vec::with_capacity(requests.len()),
+            rot_idxs: Vec::new(),
+            dt_idxs: Vec::new(),
+            it_idxs: Vec::new(),
+            predict_ns: 0,
+            overlap_ns: 0,
+        };
+        Classifier { engine, pending: requests.into_iter(), batch, panic: None }
+    }
+
+    /// Classifies the next transaction, counting the time as overlap.
+    /// Returns `false` once nothing is left to do.
+    fn step(&mut self) -> bool {
+        if self.panic.is_some() || self.pending.len() == 0 {
+            return false;
+        }
+        let t0 = Instant::now();
+        let step = std::panic::AssertUnwindSafe(|| self.classify_next());
+        self.panic = std::panic::catch_unwind(step).err();
+        let ns = elapsed_ns(t0);
+        self.batch.predict_ns += ns;
+        self.batch.overlap_ns += ns;
+        true
+    }
+
+    fn classify_next(&mut self) -> bool {
+        let Some(req) = self.pending.next() else { return false };
+        let config = self.engine.config();
+        let (tx, state) =
+            sched::classify(config.granularity, config.prepare, &self.engine.catalog, req);
+        let i = self.batch.slots.len() as TxIdx;
+        match tx.class {
+            TxClass::ReadOnly => self.batch.rot_idxs.push(i),
+            TxClass::Dependent => self.batch.dt_idxs.push(i),
+            TxClass::Independent => self.batch.it_idxs.push(i),
+        }
+        self.batch.slots.push(TxSlot { tx, state: Mutex::new(state) });
+        true
+    }
+
+    /// Classifies whatever is left and returns the batch, re-raising a
+    /// panic an earlier [`Classifier::step`] caught.
+    fn finish(mut self) -> PreparedBatch {
+        if let Some(payload) = self.panic.take() {
+            std::panic::resume_unwind(payload);
+        }
+        let t0 = Instant::now();
+        while self.classify_next() {}
+        self.batch.predict_ns += elapsed_ns(t0);
+        self.batch
+    }
 }
 
 /// A replica's transaction-processing engine. See the module docs.
 ///
 /// The engine is interior-mutable: every operation takes `&self`, so an
-/// `Arc<Engine>` can be shared between a driver thread and the prepare-
-/// ahead machinery. Execution itself is serialized by an internal lock —
-/// batches always execute one at a time, in call order.
+/// `Arc<Engine>` can be shared between threads. Execution itself is
+/// serialized by an internal lock — batches always execute one at a time,
+/// in call order.
 pub struct Engine {
     catalog: Arc<Catalog>,
     store: Arc<EpochStore>,
@@ -649,7 +704,6 @@ pub struct Engine {
     builders: Mutex<Vec<LockTableBuilder>>,
     /// Key → shard routing oracle over the configured shard count.
     router: ShardRouter,
-    queuer: Mutex<QueuerState>,
     /// Registry handles (see [`EngineMetrics`]).
     metrics: EngineMetrics,
     /// Recorder and fault plan (see [`BatchHooks`]).
@@ -703,7 +757,6 @@ impl Engine {
                 (0..router.shards()).map(|s| LockTableBuilder::with_shard(s as u32)).collect(),
             ),
             router,
-            queuer: Mutex::new(QueuerState::default()),
             metrics: EngineMetrics::new(router.shards()),
             hooks: RwLock::new(Arc::default()),
         }
@@ -771,82 +824,7 @@ impl Engine {
     /// run while an earlier batch is still executing without changing any
     /// outcome.
     pub fn prepare(&self, batch: Vec<TxRequest>) -> PreparedBatch {
-        let config = self.config();
-        prepare_batch(config.granularity, config.prepare, &self.catalog, batch)
-    }
-
-    /// Hands `batch` to the dedicated queuer thread for classification.
-    /// Results arrive in submission order via [`Engine::recv_prepared`].
-    /// The thread is spawned on first use.
-    pub fn submit_prepare(&self, batch: Vec<TxRequest>) {
-        let sender = {
-            let mut queuer = self.queuer.lock();
-            if queuer.handle.is_none() {
-                let (submit_tx, submit_rx) =
-                    mpsc::sync_channel::<Vec<TxRequest>>(QUEUER_CHANNEL_CAP);
-                let (done_tx, done_rx) =
-                    mpsc::sync_channel::<Result<PreparedBatch, String>>(QUEUER_CHANNEL_CAP);
-                let catalog = Arc::clone(&self.catalog);
-                let granularity = self.config().granularity;
-                let mode = self.config().prepare;
-                // The thread owns only what classification needs — no
-                // engine reference, so engine teardown can never race it.
-                let handle = std::thread::Builder::new()
-                    .name("prognosticator-queuer".to_string())
-                    .spawn(move || {
-                        while let Ok(batch) = submit_rx.recv() {
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    prepare_batch(granularity, mode, &catalog, batch)
-                                }))
-                                .map_err(|payload| panic_message(payload.as_ref()));
-                            if done_tx.send(result).is_err() {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn queuer thread");
-                queuer.submit = Some(submit_tx);
-                queuer.prepared = Some(done_rx);
-                queuer.handle = Some(handle);
-            }
-            queuer.submit.as_ref().expect("queuer running").clone()
-        };
-        // Send outside the lock: a full channel must not hold the state
-        // mutex against `recv_prepared`.
-        sender.send(batch).expect("queuer thread alive");
-    }
-
-    /// Receives the next prepared batch from the queuer thread, blocking
-    /// until one is ready.
-    ///
-    /// # Panics
-    /// Panics if nothing was submitted, or re-raises a classification
-    /// panic that occurred on the queuer thread.
-    pub fn recv_prepared(&self) -> PreparedBatch {
-        let queuer = self.queuer.lock();
-        let rx = queuer.prepared.as_ref().expect("no batch was submitted for preparation");
-        match rx.recv() {
-            Ok(Ok(prepared)) => prepared,
-            Ok(Err(msg)) => panic!("prepare failed on queuer thread: {msg}"),
-            Err(_) => panic!("queuer thread exited unexpectedly"),
-        }
-    }
-
-    /// Like [`Engine::recv_prepared`], but returns `None` instead of
-    /// blocking when no prepared batch is ready yet. Lets a driver tell a
-    /// fully-overlapped prepare from one it had to wait for.
-    ///
-    /// # Panics
-    /// Re-raises a classification panic from the queuer thread.
-    pub fn try_recv_prepared(&self) -> Option<PreparedBatch> {
-        let queuer = self.queuer.lock();
-        let rx = queuer.prepared.as_ref()?;
-        match rx.try_recv() {
-            Ok(Ok(prepared)) => Some(prepared),
-            Ok(Err(msg)) => panic!("prepare failed on queuer thread: {msg}"),
-            Err(_) => None,
-        }
+        Classifier::new(self, batch).finish()
     }
 
     /// Executes one ordered batch to completion and commits its epoch:
@@ -863,6 +841,27 @@ impl Engine {
     /// The paper's algorithm, one phase function per step; the workers
     /// meet the queuer at four barriers per round.
     pub fn execute(&self, prepared: PreparedBatch) -> BatchOutcome {
+        self.run_batch(prepared, None)
+    }
+
+    /// [`Engine::execute`], with the queuer classifying `next` while the
+    /// workers run `prepared`'s update phases (prepare-ahead). Returns the
+    /// outcome and `next`, classified.
+    pub(crate) fn execute_and_prepare(
+        &self,
+        prepared: PreparedBatch,
+        next: Vec<TxRequest>,
+    ) -> (BatchOutcome, PreparedBatch) {
+        let mut classifier = Classifier::new(self, next);
+        let outcome = self.run_batch(prepared, Some(&mut classifier));
+        (outcome, classifier.finish())
+    }
+
+    fn run_batch(
+        &self,
+        prepared: PreparedBatch,
+        mut next: Option<&mut Classifier<'_>>,
+    ) -> BatchOutcome {
         let _exec = self.exec_lock.lock();
         let mut builders = self.builders.lock();
         let fresh_queues = |builders: &[LockTableBuilder]| -> u64 {
@@ -876,7 +875,7 @@ impl Engine {
             let tables = self.build_round(&work, &mut rounds, &mut builders, &mut outcome);
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
-            self.run_exchange(&work, &mut rounds, &tables);
+            self.run_exchange(&work, &mut rounds, &tables, next.as_deref_mut());
             let done = self.finish_round(&work, &mut rounds, tables, &mut builders, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
             if done {
@@ -895,7 +894,7 @@ impl Engine {
     /// ROTs and dependent transactions to the pool and wakes it.
     fn begin_batch(&self, prepared: PreparedBatch) -> (Arc<BatchWork>, Rounds, BatchOutcome) {
         let batch_start = Instant::now();
-        let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns } = prepared;
+        let PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns, overlap_ns } = prepared;
         let batch_size = slots.len();
         let batch_index = self.batches_executed.fetch_add(1, Ordering::AcqRel);
         let hooks = Arc::clone(&self.hooks.read());
@@ -958,7 +957,7 @@ impl Engine {
             shard_queue_ns: vec![0; shards],
             prior_latency,
         };
-        let stage = StageTimings { predict_ns, ..StageTimings::default() };
+        let stage = StageTimings { predict_ns, overlap_ns, ..StageTimings::default() };
         (work, rounds, BatchOutcome { batch_size, stage, ..BatchOutcome::default() })
     }
 
@@ -1039,8 +1038,20 @@ impl Engine {
     /// with slots released in ascending shard order: a fixed shard-major
     /// merge, so the committed outcome is a pure function of the batch,
     /// never of worker interleaving or shard count.
-    fn run_exchange(&self, work: &BatchWork, rounds: &mut Rounds, tables: &[Arc<LockTable>]) {
-        if !rounds.cross.is_empty() {
+    ///
+    /// Whenever the queuer would otherwise wait, it classifies the next
+    /// batch (`next`) one transaction at a time, until the round is over.
+    fn run_exchange(
+        &self,
+        work: &BatchWork,
+        rounds: &mut Rounds,
+        tables: &[Arc<LockTable>],
+        mut next: Option<&mut Classifier<'_>>,
+    ) {
+        let mut classify = || next.as_deref_mut().is_some_and(Classifier::step);
+        if rounds.cross.is_empty() {
+            while !work.round_over() && classify() {}
+        } else {
             run_guarded(work, || {
                 let backoff = Backoff::new();
                 let mut ready_cross: Vec<TxIdx> = Vec::new();
@@ -1056,7 +1067,7 @@ impl Engine {
                         }
                     }
                     if ready_cross.is_empty() {
-                        if !progress {
+                        if !progress && !classify() {
                             backoff.spin();
                         }
                         continue;
@@ -1201,23 +1212,9 @@ impl Engine {
         rec.record(|| Event::BatchEnd { batch, committed, failed });
     }
 
-    /// Stops the queuer thread and the worker pool. Idempotent, and safe
-    /// to call whether or not a batch was ever prepared or executed: the
-    /// queuer thread (if it was ever spawned) is woken by dropping its
-    /// channel endpoints and joined first, then the workers.
+    /// Stops the worker pool. Idempotent, and safe to call whether or not
+    /// a batch was ever executed.
     pub fn shutdown(&self) {
-        let (submit, prepared, queuer_handle) = {
-            let mut queuer = self.queuer.lock();
-            (queuer.submit.take(), queuer.prepared.take(), queuer.handle.take())
-        };
-        // Dropping both endpoints wakes the thread wherever it is blocked:
-        // waiting for work (recv fails) or waiting to hand off a result
-        // (send fails).
-        drop(submit);
-        drop(prepared);
-        if let Some(handle) = queuer_handle {
-            let _ = handle.join();
-        }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         if handles.is_empty() {
             return;
@@ -1237,32 +1234,6 @@ impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Classifies one ordered batch — the store-independent half of the batch
-/// lifecycle, shared by [`Engine::prepare`] and the queuer thread.
-fn prepare_batch(
-    granularity: Granularity,
-    prepare: PrepareMode,
-    catalog: &Catalog,
-    batch: Vec<TxRequest>,
-) -> PreparedBatch {
-    let t0 = Instant::now();
-    let mut slots = Vec::with_capacity(batch.len());
-    let mut rot_idxs: Vec<TxIdx> = Vec::new();
-    let mut dt_idxs: Vec<TxIdx> = Vec::new();
-    let mut it_idxs: Vec<TxIdx> = Vec::new();
-    for (i, req) in batch.into_iter().enumerate() {
-        let (tx, state) = sched::classify(granularity, prepare, catalog, req);
-        match tx.class {
-            TxClass::ReadOnly => rot_idxs.push(i as TxIdx),
-            TxClass::Dependent => dt_idxs.push(i as TxIdx),
-            TxClass::Independent => it_idxs.push(i as TxIdx),
-        }
-        slots.push(TxSlot { tx, state: Mutex::new(state) });
-    }
-    let predict_ns = elapsed_ns(t0);
-    PreparedBatch { slots, rot_idxs, dt_idxs, it_idxs, predict_ns }
 }
 
 /// Prepares slot `i` against the round's snapshot (the staleness-adjusted

@@ -47,7 +47,6 @@ pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod locktable;
-pub mod pipelined;
 pub mod replica;
 pub mod sched;
 pub mod shard;
@@ -62,7 +61,6 @@ pub use faults::{AbortReason, ConsensusFault, FaultPlan};
 pub use locktable::{
     BuilderStats, FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
 };
-pub use pipelined::PipelinedExecutor;
 pub use replica::{LogRecord, RecoveryReport, Replica};
 pub use shard::{ShardRoute, ShardRouter};
 pub use prognosticator_symexec::TxClass;

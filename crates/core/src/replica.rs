@@ -1,9 +1,8 @@
 //! A replica: store + engine + carried-over transaction handling.
 
 use crate::catalog::{Catalog, TxRequest};
-use crate::engine::{BatchOutcome, Engine, SchedulerConfig};
+use crate::engine::{BatchOutcome, Engine, FailedPolicy, SchedulerConfig};
 use crate::faults::FaultPlan;
-use crate::pipelined::PipelinedExecutor;
 use prognosticator_obs::{Event, FlightRecorder};
 use prognosticator_storage::EpochStore;
 use std::sync::Arc;
@@ -179,18 +178,45 @@ impl Replica {
         outcome
     }
 
-    /// Executes a run of ordered batches with prepare-ahead pipelining:
-    /// up to `depth` batches are classified on the engine's queuer thread
-    /// while earlier batches execute. Depth 0 is the plain sequential
-    /// loop. Outcomes and state are identical either way (see
-    /// [`PipelinedExecutor`]).
+    /// Executes a run of ordered batches. Depth 0 is the plain sequential
+    /// `prepare → execute` loop. Any depth ≥ 1 prepares one batch ahead:
+    /// the queuer classifies batch `N+1` while batch `N`'s workers run its
+    /// update phases, and records a `QueuerHandoff` flight event before
+    /// each batch executes. Outcomes and state are byte-identical at every
+    /// depth; only [`crate::StageTimings::overlap_ns`] differs.
+    ///
+    /// [`FailedPolicy::NextBatch`] forces depth 0: its carried-over
+    /// transactions must be prepended to the next batch *before* that
+    /// batch is classified.
     pub fn execute_stream(
         &mut self,
         batches: Vec<Vec<TxRequest>>,
         depth: usize,
     ) -> Vec<BatchOutcome> {
-        let driver = PipelinedExecutor::new(Arc::clone(&self.engine), depth);
-        driver.execute_stream(batches, &mut self.carry_over)
+        if depth == 0 || self.engine.config().failed == FailedPolicy::NextBatch {
+            return batches.into_iter().map(|batch| self.execute_batch(batch)).collect();
+        }
+        // No other policy carries transactions over, so only a carry-over
+        // left from before this call goes in front of the first batch.
+        let mut outcomes = Vec::with_capacity(batches.len());
+        let mut batches = batches.into_iter();
+        let Some(first) = batches.next() else { return outcomes };
+        let mut full = std::mem::take(&mut self.carry_over);
+        full.extend(first);
+        let mut prepared = self.engine.prepare(full);
+        loop {
+            if let Some(rec) = self.engine.recorder() {
+                let (batch, txs) = (self.engine.batches_executed(), prepared.batch_size() as u64);
+                rec.record(|| Event::QueuerHandoff { batch, txs });
+            }
+            let Some(next) = batches.next() else {
+                outcomes.push(self.engine.execute(prepared));
+                return outcomes;
+            };
+            let (outcome, next) = self.engine.execute_and_prepare(prepared, next);
+            outcomes.push(outcome);
+            prepared = next;
+        }
     }
 
     /// Transactions still waiting to be retried.
@@ -210,7 +236,7 @@ impl Replica {
         self.engine.set_fault_plan(plan);
     }
 
-    /// Stops the engine's queuer thread and worker pool. Idempotent:
+    /// Stops the engine's worker pool. Idempotent:
     /// repeated calls (and the implicit call from `Drop`) are no-ops once
     /// the pool is joined.
     pub fn shutdown(&mut self) {

@@ -1,12 +1,13 @@
-//! Engine-level tests for the prepare-ahead lifecycle: queuer thread
-//! wind-down, shutdown idempotence, and lock-table buffer reuse across
-//! batches.
+//! Engine-level tests for the prepare-ahead lifecycle: the split
+//! `prepare`/`execute` stages, the overlap the stream driver records,
+//! shutdown idempotence, and lock-table buffer reuse across batches.
 
 use prognosticator_core::{
-    baselines, Catalog, Engine, PipelinedExecutor, ProgId, Replica, TxRequest,
+    baselines, Catalog, Engine, ProgId, Replica, SchedulerConfig, TxOutcome, TxRequest,
 };
 use prognosticator_storage::EpochStore;
 use prognosticator_txir::{Expr, InputBound, Key, ProgramBuilder, Value};
+use prognosticator_workloads::{DeterministicRng, TpccConfig, TpccWorkload};
 use std::sync::Arc;
 
 fn bump_catalog() -> (Arc<Catalog>, prognosticator_txir::TableId, ProgId) {
@@ -36,29 +37,11 @@ fn batch(bump: ProgId, n: i64) -> Vec<TxRequest> {
 
 #[test]
 fn shutdown_is_idempotent_without_any_prepare() {
-    // The queuer thread is lazily spawned; shutdown before any submit
-    // must not hang waiting for a thread that never existed.
+    // Shutdown before any batch must not hang, and a second call is a
+    // no-op.
     let (engine, _bump) = engine_with_counters(2);
     engine.shutdown();
     engine.shutdown();
-}
-
-#[test]
-fn shutdown_drains_unconsumed_prepared_batch() {
-    // A batch submitted to the queuer but never received must not wedge
-    // shutdown: dropping the channel endpoints wakes the thread.
-    let (engine, bump) = engine_with_counters(2);
-    engine.submit_prepare(batch(bump, 8));
-    engine.submit_prepare(batch(bump, 8));
-    engine.shutdown();
-    engine.shutdown();
-}
-
-#[test]
-fn drop_joins_queuer_and_workers() {
-    let (engine, bump) = engine_with_counters(2);
-    engine.submit_prepare(batch(bump, 8));
-    drop(engine);
 }
 
 #[test]
@@ -102,18 +85,18 @@ fn lock_table_buffers_are_reused_across_batches() {
 
 #[test]
 fn prepare_ahead_overlap_is_recorded() {
-    // With depth 1, batch N+1 classifies while batch N executes; the
-    // executor reports how much predict time was hidden. The overlap value
-    // is wall-clock dependent, so only its invariants are asserted:
-    // bounded by predict_ns, and identical outcomes to sequential.
-    let (engine, bump) = engine_with_counters(2);
+    // With depth 1, the queuer classifies batch N+1 inside batch N's
+    // update phases and books that time as overlap. The value is
+    // wall-clock dependent, so only its invariants are asserted: bounded
+    // by predict_ns, and zero on the first batch (nothing ran before it).
+    let (catalog, t, bump) = bump_catalog();
+    let mut replica = Replica::new(baselines::mq_mf(2), catalog);
+    replica.store().populate((0..16).map(|i| (Key::of_ints(t, &[i]), Value::Int(0))));
     let stream: Vec<_> = (0..6).map(|_| batch(bump, 16)).collect();
-    let exec = PipelinedExecutor::new(Arc::clone(&engine), 1);
-    assert_eq!(exec.depth(), 1);
-    let mut carry = Vec::new();
-    let outs = exec.execute_stream(stream, &mut carry);
-    assert!(carry.is_empty());
+    let outs = replica.execute_stream(stream, 1);
+    assert_eq!(replica.pending_carry_over(), 0);
     assert_eq!(outs.len(), 6);
+    assert_eq!(outs[0].stage.overlap_ns, 0, "the first batch is classified up front");
     for out in &outs {
         assert_eq!(out.committed, 16);
         assert!(
@@ -121,7 +104,43 @@ fn prepare_ahead_overlap_is_recorded() {
             "overlap can never exceed time spent predicting"
         );
     }
-    engine.shutdown();
+    replica.shutdown();
+}
+
+/// Outcome vectors, per-batch overlap and predict time, and the final
+/// digest of a TPC-C stream at `depth`.
+fn tpcc_stream(
+    config: SchedulerConfig,
+    depth: usize,
+) -> (Vec<Vec<TxOutcome>>, Vec<(u64, u64)>, u64) {
+    let wh2 = TpccConfig { warehouses: 2, districts: 4, items: 40, customers: 8, nurand: true };
+    let mut catalog = Catalog::new();
+    let tpcc = TpccWorkload::register(&mut catalog, wh2).expect("registers");
+    let mut replica = Replica::new(config, Arc::new(catalog));
+    tpcc.populate(replica.store());
+    let mut rng = DeterministicRng::new(0x7C94);
+    let stream: Vec<_> = (0..5).map(|_| tpcc.gen_batch(&mut rng, 32)).collect();
+    let outs = replica.execute_stream(stream, depth);
+    let digest = replica.state_digest();
+    replica.shutdown();
+    let timings = outs.iter().map(|o| (o.stage.overlap_ns, o.stage.predict_ns)).collect();
+    (outs.into_iter().map(|o| o.outcomes).collect(), timings, digest)
+}
+
+#[test]
+fn prepare_ahead_at_four_shards_matches_sequential() {
+    // At four shards nearly every TPC-C transaction is cross-shard, so
+    // the queuer classifies the next batch between exchange steps rather
+    // than while idle at the update barrier.
+    let config = SchedulerConfig { shards: 4, ..baselines::mq_mf(2) };
+    let (seq_outcomes, seq_timings, seq_digest) = tpcc_stream(config.clone(), 0);
+    let (outcomes, timings, digest) = tpcc_stream(config, 1);
+    assert_eq!(outcomes, seq_outcomes, "prepare-ahead changed an outcome");
+    assert_eq!(digest, seq_digest, "prepare-ahead changed the state");
+    assert!(seq_timings.iter().all(|&(overlap, _)| overlap == 0));
+    for (i, (overlap, predict)) in timings.into_iter().enumerate() {
+        assert!(overlap <= predict, "batch {i}: overlap {overlap} > predict {predict}");
+    }
 }
 
 #[test]

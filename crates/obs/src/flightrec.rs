@@ -114,7 +114,8 @@ pub enum Event {
         /// Slot index within the batch.
         tx: u64,
     },
-    /// The prepare-ahead queuer handed a prepared batch to the executor.
+    /// A prepare-ahead stream is about to execute a classified batch (one
+    /// per executed batch at depth ≥ 1, the first included).
     QueuerHandoff {
         /// Batch sequence number.
         batch: u64,

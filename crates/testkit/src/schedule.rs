@@ -7,9 +7,9 @@
 //! digest. The fuzzer drives the engine's
 //! [`ReadyPolicy`](prognosticator_core::ReadyPolicy) seam with seeded
 //! shuffle policies and sweeps the worker count *and* the prepare-ahead
-//! depth (classification of batch `N+1` on the engine's queuer thread
-//! while batch `N` executes), comparing every explored schedule against a
-//! FIFO reference run.
+//! depth (the queuer classifies batch `N+1` inside batch `N`'s update
+//! phases), comparing every explored schedule against a FIFO reference
+//! run.
 
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator_core::{

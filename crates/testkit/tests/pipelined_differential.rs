@@ -1,8 +1,8 @@
 //! Pipelined-vs-sequential differential oracle (the prepare-ahead seam).
 //!
 //! Claim under test: running a stream of batches with prepare-ahead
-//! pipelining (classification of batch `N+1` on the engine's queuer
-//! thread while batch `N` executes) produces byte-identical per-
+//! pipelining (the queuer classifies batch `N+1` inside batch `N`'s
+//! update phases) produces byte-identical per-
 //! transaction outcome vectors and store digests to the plain sequential
 //! `prepare → execute` loop — across worker counts, stream seeds, and
 //! under an active fault plan.

@@ -26,6 +26,7 @@
 //!   batch — to assign each accepted request its engine-level outcome.
 
 use crate::pipeline::{BatchEvent, Pipeline, PipelineError};
+use prognosticator_core::faults::mix;
 use prognosticator_core::{AbortReason, TxOutcome, TxRequest};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -139,16 +140,6 @@ fn saturating_deadline(now: Instant, budget: Duration) -> Instant {
     }
 }
 
-/// SplitMix64-style mix for backoff jitter (pure).
-fn mix(seed: u64, a: u64, b: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ClientSession {
     /// Wraps `pipeline` with the given retry policy.
     pub fn new(pipeline: Pipeline, config: ClientConfig) -> Self {
@@ -207,7 +198,8 @@ impl ClientSession {
         // would otherwise truncate to an arbitrary (possibly tiny) wait,
         // turning backoff into a hot spin.
         let ns = u64::try_from(step.as_nanos()).unwrap_or(u64::MAX);
-        Duration::from_nanos(ns / 2 + mix(self.config.seed, req_id, u64::from(attempt)) % (ns / 2 + 1))
+        let jitter = mix(self.config.seed, req_id, u64::from(attempt), 0);
+        Duration::from_nanos(ns / 2 + jitter % (ns / 2 + 1))
     }
 
     /// Submits one request, retrying admission rejections with backoff

@@ -50,11 +50,6 @@ pub struct PipelineConfig {
     pub consensus_timeout: Duration,
     /// Bounded retry-with-backoff applied when a proposal times out.
     pub retry: RetryPolicy,
-    /// Prepare-ahead depth used when replicas apply committed batches:
-    /// classification of batch `N+1` runs on the engine's queuer thread
-    /// while batch `N` executes. `0` disables the overlap. Outcomes are
-    /// identical either way.
-    pub prepare_ahead: usize,
     /// Epochs of store history each replica retains after commit; older
     /// versions are garbage-collected (each key keeps its latest version,
     /// so digests never change). Applied only when the scheduler config
@@ -90,7 +85,6 @@ impl Default for PipelineConfig {
             seed: 0x5EED,
             consensus_timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
-            prepare_ahead: 1,
             gc_keep_epochs: Some(8),
             max_pending: None,
             snapshot_interval: None,
@@ -705,10 +699,9 @@ impl Pipeline {
             if new_batches.is_empty() {
                 continue;
             }
-            // Apply the run with prepare-ahead: batch N+1 classifies on
-            // the engine's queuer thread while batch N executes.
-            let outcomes =
-                self.replicas[idx].replica.execute_stream(new_batches, self.config.prepare_ahead);
+            // Apply the run with prepare-ahead: the queuer classifies
+            // batch N+1 while batch N's workers run.
+            let outcomes = self.replicas[idx].replica.execute_stream(new_batches, 1);
             let first_live = self.replicas[idx].live_consumed;
             for (k, outcome) in outcomes.iter().enumerate() {
                 // First replica to apply a live batch records its outcome
@@ -1059,34 +1052,6 @@ mod tests {
             );
         }
         p.shutdown();
-    }
-
-    #[test]
-    fn prepare_ahead_matches_sequential_sync() {
-        let run = |prepare_ahead: usize| {
-            let (catalog, bump) = counter_catalog();
-            let config = PipelineConfig {
-                prepare_ahead,
-                // Only the size cap (8) and flush cut batches: a window
-                // cut would make the batch count depend on machine load.
-                batch_window: Duration::from_secs(60),
-                ..small_config()
-            };
-            let mut p = Pipeline::new(catalog, config, 2, populate()).expect("boots");
-            for i in 0..48 {
-                p.submit(TxRequest::new(bump, vec![Value::Int(i % 16)])).expect("submits");
-            }
-            p.flush().expect("flushes");
-            p.sync().expect("syncs");
-            let digest = p.digests()[0];
-            let batches = p.committed_batches();
-            p.shutdown();
-            (digest, batches)
-        };
-        let (sequential, b0) = run(0);
-        let (pipelined, b1) = run(1);
-        assert_eq!((b0, b1), (6, 6), "48 transactions in batches of 8");
-        assert_eq!(sequential, pipelined, "prepare-ahead changed the state");
     }
 
     #[test]
