@@ -16,6 +16,14 @@
 //!    (`SF`), deterministic re-prepare + re-enqueue rounds (`MF`), or
 //!    hand-back to the client for a future batch (the Calvin baseline).
 //!
+//! The workers meet the queuer at three barriers per batch — (1) prepare
+//! done, (2) lock tables published, (3) update phase done — and leave after
+//! (3). Every later step runs on the queuer alone, `MF`'s re-enqueue rounds
+//! included: the paper's `SF` rule ("re-execute the failed serially")
+//! applied one round at a time, since a retry round is usually one pivot
+//! chain that waking the pool cannot parallelize. Those rounds build and
+//! drain the same lock tables, so grant order and outcomes are unchanged.
+//!
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
 //!
@@ -36,10 +44,10 @@
 //! classified *while batch `N` executes* (the paper's single-queuer
 //! overlap): [`crate::Replica::execute_stream`] hands batch `N+1` to batch
 //! `N`'s execution, and the queuer classifies it one transaction at a time
-//! in the update phases, where it would otherwise wait for the workers,
-//! finishing any remainder after commit. Dependent-transaction preparation
-//! reads the store and therefore stays inside `execute`, where it sees
-//! exactly the epochs the unpipelined path would — outcomes are
+//! in round 1's update phase, where it would otherwise wait for the
+//! workers, finishing any remainder after commit. Dependent-transaction
+//! preparation reads the store and therefore stays inside `execute`, where
+//! it sees exactly the epochs the unpipelined path would — outcomes are
 //! byte-identical either way.
 //!
 //! **Deterministic abort protocol.** A transaction whose own logic fails
@@ -192,8 +200,8 @@ pub struct StageTimings {
     /// Lock-queue population: dependent-transaction preparation plus
     /// lock-table build/publish, summed over scheduling rounds.
     pub queue_ns: u64,
-    /// Update phase (workers draining the ready queue) plus failed
-    /// handling, summed over scheduling rounds.
+    /// Update phase (draining the ready queues) plus failed handling,
+    /// summed over scheduling rounds.
     pub execute_ns: u64,
     /// Epoch advance + store garbage collection.
     pub commit_ns: u64,
@@ -207,8 +215,10 @@ pub struct StageTimings {
     /// recycled pools cover the working set).
     pub lock_fresh_allocs: u64,
     /// Worker wait episodes during the update phase: transitions from
-    /// executing to spinning on an empty ready queue. Wall-clock-dependent
-    /// on the engine (the simulator computes a deterministic equivalent).
+    /// executing to spinning on an empty ready queue. On the engine this
+    /// counts round 1 only — retry rounds run on the queuer alone, which
+    /// never waits — and is wall-clock-dependent (the simulator computes a
+    /// deterministic equivalent over every round).
     pub lock_waits: u64,
     /// Contended keys summed over scheduling rounds: keys whose lock
     /// queues held more than one transaction. A pure function of the
@@ -404,21 +414,18 @@ struct BatchWork {
     slots: Vec<TxSlot>,
     rot_queues: Vec<SegQueue<TxIdx>>,
     prepare_queue: SegQueue<TxIdx>,
-    /// Per-shard lock tables for the current round, indexed by physical
-    /// shard (published at barrier (2), drained for recycling after
-    /// barrier (3)).
+    /// Round 1's per-shard lock tables, indexed by physical shard
+    /// (published at barrier (2), drained for recycling after barrier
+    /// (3)).
     lock_tables: RwLock<Vec<Arc<LockTable>>>,
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
-    /// Published before barrier (4): no further round follows.
-    done: AtomicBool,
-    /// Epoch DT preparation reads from in round 1.
+    /// Epoch DT preparation reads from in round 1 (retry rounds read live
+    /// state).
     prepare_epoch: u64,
     /// Epoch ROTs read from.
     snapshot_epoch: u64,
-    /// Round ≥ 2 preparation reads live state instead.
-    prepare_live: AtomicBool,
     batch_start: Instant,
     prepare_ns: AtomicU64,
     prepare_count: AtomicU64,
@@ -839,7 +846,8 @@ impl Engine {
     /// serialized; batches commit in call order.
     ///
     /// The paper's algorithm, one phase function per step; the workers
-    /// meet the queuer at four barriers per round.
+    /// meet the queuer at three barriers per batch and take part in round
+    /// 1 only (see the module docs).
     pub fn execute(&self, prepared: PreparedBatch) -> BatchOutcome {
         self.run_batch(prepared, None)
     }
@@ -871,11 +879,17 @@ impl Engine {
         let (work, mut rounds, mut outcome) = self.begin_batch(prepared);
         loop {
             outcome.rounds += 1;
+            // Round 1 runs on the pool; the workers leave at barrier (3).
+            let pooled = outcome.rounds == 1;
             let round_start = Instant::now();
             let tables = self.build_round(&work, &mut rounds, &mut builders, &mut outcome);
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
-            self.run_exchange(&work, &mut rounds, &tables, next.as_deref_mut());
+            if pooled {
+                self.run_exchange(&work, &mut rounds, &tables, next.as_deref_mut());
+            } else {
+                self.run_solo(&work, &mut rounds, &tables);
+            }
             let done = self.finish_round(&work, &mut rounds, tables, &mut builders, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
             if done {
@@ -917,10 +931,8 @@ impl Engine {
             round_total: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             failed: Mutex::new(Vec::new()),
-            done: AtomicBool::new(false),
             prepare_epoch: snapshot_epoch.saturating_sub(config.prepare_staleness),
             snapshot_epoch,
-            prepare_live: AtomicBool::new(false),
             batch_start,
             prepare_ns: AtomicU64::new(0),
             prepare_count: AtomicU64::new(0),
@@ -961,8 +973,11 @@ impl Engine {
         (work, rounds, BatchOutcome { batch_size, stage, ..BatchOutcome::default() })
     }
 
-    /// Phases 1–2: help prepare, then route every member by its predicted
-    /// key-set, enqueue it and freeze one lock table per shard.
+    /// Phases 1–2: prepare, then route every member by its predicted
+    /// key-set, enqueue it and freeze one lock table per shard. Round 1
+    /// prepares alongside the pool and publishes the tables to it; a retry
+    /// round re-prepares its members against live state alone and keeps
+    /// the tables to itself.
     fn build_round(
         &self,
         work: &BatchWork,
@@ -970,14 +985,25 @@ impl Engine {
         builders: &mut [LockTableBuilder],
         outcome: &mut BatchOutcome,
     ) -> Vec<Arc<LockTable>> {
-        // The queuer always helps preparing (in 1Q mode it is the only
-        // preparer: workers skip the queue).
-        run_guarded(work, || {
-            while let Some(i) = work.prepare_queue.pop() {
-                prepare_slot(work, i, &self.store, self.config().prepare);
-            }
-        });
-        self.shared.barrier.wait(); // (1) prepare done
+        let pooled = outcome.rounds == 1;
+        let mode = self.config().prepare;
+        if pooled {
+            // The queuer always helps preparing (in 1Q mode it is the only
+            // preparer: workers skip the queue).
+            let snapshot = Snapshot::Epoch(work.prepare_epoch);
+            run_guarded(work, || {
+                while let Some(i) = work.prepare_queue.pop() {
+                    prepare_slot(work, i, &self.store, mode, snapshot);
+                }
+            });
+            self.shared.barrier.wait(); // (1) prepare done
+        } else {
+            run_guarded(work, || {
+                for &i in &rounds.members {
+                    prepare_slot(work, i, &self.store, mode, Snapshot::Live);
+                }
+            });
+        }
 
         // Slots aborted during preparation carry no prediction and their
         // verdict is already final, so they are excluded here; the
@@ -1023,9 +1049,10 @@ impl Engine {
         }
         work.round_total.store(rounds.members.len(), Ordering::Release);
         work.completed.store(0, Ordering::Release);
-        work.failed.lock().clear();
-        *work.lock_tables.write() = tables.clone();
-        self.shared.barrier.wait(); // (2) lock tables published
+        if pooled {
+            *work.lock_tables.write() = tables.clone();
+            self.shared.barrier.wait(); // (2) lock tables published
+        }
         tables
     }
 
@@ -1054,38 +1081,71 @@ impl Engine {
         } else {
             run_guarded(work, || {
                 let backoff = Backoff::new();
-                let mut ready_cross: Vec<TxIdx> = Vec::new();
                 while !work.round_over() {
-                    let mut progress = false;
-                    for table in tables {
-                        while let Some(i) = table.pop_foreign_ready() {
-                            progress = true;
-                            rounds.cross_wait[i as usize] -= 1;
-                            if rounds.cross_wait[i as usize] == 0 {
-                                ready_cross.push(i);
-                            }
-                        }
-                    }
-                    if ready_cross.is_empty() {
-                        if !progress && !classify() {
-                            backoff.spin();
-                        }
-                        continue;
-                    }
-                    backoff.reset();
-                    ready_cross.sort_unstable();
-                    for i in ready_cross.drain(..) {
-                        let owners = &rounds.cross_owners[i as usize];
-                        work.run_granted(i, &self.store, owners[0], || {
-                            for &s in owners {
-                                tables[s].release(i);
-                            }
-                        });
+                    if self.exchange_pass(work, rounds, tables) {
+                        backoff.reset();
+                    } else if !classify() {
+                        backoff.spin();
                     }
                 }
             });
         }
-        self.shared.barrier.wait(); // (3) update phase done
+        self.shared.barrier.wait(); // (3) update phase done; the workers leave
+    }
+
+    /// Phase 3 of a retry round, on the queuer alone: drains every shard's
+    /// ready queue through the configured [`ReadyPolicy`] and resolves
+    /// cross-shard members with the exchange rule of [`Engine::run_exchange`].
+    /// The earliest-enqueued unfinished member always heads all its
+    /// queues, so every pass makes progress.
+    fn run_solo(&self, work: &BatchWork, rounds: &mut Rounds, tables: &[Arc<LockTable>]) {
+        let policy = self.config().ready_policy.as_ref();
+        run_guarded(work, || {
+            while !work.round_over() {
+                let mut progress = false;
+                for (s, table) in tables.iter().enumerate() {
+                    while let Some(i) = table.pop_ready_with(policy) {
+                        progress = true;
+                        work.run_granted(i, &self.store, s, || table.release(i));
+                    }
+                }
+                progress |= self.exchange_pass(work, rounds, tables);
+                assert!(progress, "retry round stalled with no ready transaction");
+            }
+        });
+    }
+
+    /// One pass of the cross-shard exchange: collects every table's
+    /// foreign-ready signals, then runs the members now ready on all their
+    /// owners in ascending batch position, releasing slots in ascending
+    /// shard order. Returns whether any signal arrived.
+    fn exchange_pass(
+        &self,
+        work: &BatchWork,
+        rounds: &mut Rounds,
+        tables: &[Arc<LockTable>],
+    ) -> bool {
+        let mut progress = false;
+        let mut ready_cross: Vec<TxIdx> = Vec::new();
+        for table in tables {
+            while let Some(i) = table.pop_foreign_ready() {
+                progress = true;
+                rounds.cross_wait[i as usize] -= 1;
+                if rounds.cross_wait[i as usize] == 0 {
+                    ready_cross.push(i);
+                }
+            }
+        }
+        ready_cross.sort_unstable();
+        for i in ready_cross {
+            let owners = &rounds.cross_owners[i as usize];
+            work.run_granted(i, &self.store, owners[0], || {
+                for &s in owners {
+                    tables[s].release(i);
+                }
+            });
+        }
+        progress
     }
 
     /// Phase 4: recycle the round's tables, then enact the failed-
@@ -1103,8 +1163,8 @@ impl Engine {
         // (Under a batch-fatal wind-down a worker may have bailed out
         // early and still hold a reference — then the unwrap fails and
         // that table is simply dropped.)
-        drop(tables);
-        for table in work.lock_tables.write().drain(..) {
+        work.lock_tables.write().clear();
+        for table in tables {
             if let Ok(table) = Arc::try_unwrap(table) {
                 builders[table.shard() as usize].recycle(table);
             }
@@ -1125,20 +1185,18 @@ impl Engine {
             sched::after_round(config.failed, outcome.rounds, config.max_rounds, !failed.is_empty());
         match action {
             RoundAction::Done => {}
-            // The workers are idle at the barrier, so the queuer running
-            // the failed transactions in client order is trivially
+            // The workers have left the batch, so the queuer running the
+            // failed transactions in client order is trivially
             // deterministic.
             RoundAction::Serial => run_guarded(work, || {
                 for &i in &failed {
                     run_slot(work, i, &self.store, RunMode::Serial);
                 }
             }),
-            // Deterministic re-prepare against the live state.
+            // The next round re-prepares them against the live state.
             RoundAction::Reenqueue => {
-                work.prepare_live.store(true, Ordering::Release);
                 for &i in &failed {
                     work.slots[i as usize].state.lock().prediction = None;
-                    work.prepare_queue.push(i);
                 }
                 rounds.members = failed;
             }
@@ -1147,10 +1205,7 @@ impl Engine {
                 outcome.carried_over.extend(handed_back);
             }
         }
-        let done = action != RoundAction::Reenqueue || work.fatal.load(Ordering::Acquire);
-        work.done.store(done, Ordering::Release);
-        self.shared.barrier.wait(); // (4) action published
-        done
+        action != RoundAction::Reenqueue || work.fatal.load(Ordering::Acquire)
     }
 
     /// Retires the batch from the pool, re-raises a batch-fatal panic,
@@ -1236,17 +1291,18 @@ impl Drop for Engine {
     }
 }
 
-/// Prepares slot `i` against the round's snapshot (the staleness-adjusted
-/// epoch in round 1, live state in retry rounds). Runs on the queuer and
-/// (in `MQ` mode) on idle workers.
-fn prepare_slot(work: &BatchWork, i: TxIdx, store: &EpochStore, mode: PrepareMode) {
+/// Prepares slot `i` against `snapshot` (the staleness-adjusted epoch in
+/// round 1, live state in retry rounds). Runs on the queuer and, in round
+/// 1 of `MQ` mode, on idle workers.
+fn prepare_slot(
+    work: &BatchWork,
+    i: TxIdx,
+    store: &EpochStore,
+    mode: PrepareMode,
+    snapshot: Snapshot,
+) {
     let t0 = Instant::now();
     let slot = &work.slots[i as usize];
-    let snapshot = if work.prepare_live.load(Ordering::Acquire) {
-        Snapshot::Live
-    } else {
-        Snapshot::Epoch(work.prepare_epoch)
-    };
     sched::prepare(store, &slot.tx, &mut slot.state.lock(), mode, snapshot);
     work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
     work.prepare_count.fetch_add(1, Ordering::Relaxed);
@@ -1290,70 +1346,64 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
             None => continue,
         };
 
-        loop {
-            // Phase 1: ROTs (non-empty only in round 1), then help prepare.
-            run_guarded(&work, || {
-                while let Some(i) = work.rot_queues[worker_id].pop() {
-                    run_slot(&work, i, store, RunMode::Snapshot(work.snapshot_epoch));
+        // Phase 1: ROTs, then help prepare.
+        run_guarded(&work, || {
+            while let Some(i) = work.rot_queues[worker_id].pop() {
+                run_slot(&work, i, store, RunMode::Snapshot(work.snapshot_epoch));
+            }
+            if config.parallel_prepare {
+                let snapshot = Snapshot::Epoch(work.prepare_epoch);
+                while let Some(i) = work.prepare_queue.pop() {
+                    prepare_slot(&work, i, store, config.prepare, snapshot);
                 }
-                if config.parallel_prepare {
-                    while let Some(i) = work.prepare_queue.pop() {
-                        prepare_slot(&work, i, store, config.prepare);
-                    }
-                }
-            });
-            shared.barrier.wait(); // (1)
-            shared.barrier.wait(); // (2) lock table ready
-            {
-                let tables = work.lock_tables.read().clone();
-                debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
+            }
+        });
+        shared.barrier.wait(); // (1)
+        shared.barrier.wait(); // (2) lock tables ready
+        let tables = work.lock_tables.read().clone();
+        debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
 
-                // Phase 3: update transactions. Workers scan every shard's
-                // ready queue, starting at a per-worker affinity offset so
-                // the pool spreads over shards instead of contending on
-                // shard 0. Single-shard transactions live wholly in the
-                // table they are popped from, so release goes back to that
-                // same table. Idle workers spin hot: the phase lasts at
-                // most a batch interval and parked threads pay wake-up
-                // latency on every lock-chain handoff, which would
-                // serialize contended batches (workers ≤ cores by config).
-                run_guarded(&work, || {
-                    let n = tables.len();
-                    let backoff = Backoff::new();
-                    // Wait-episode metric: count executing→spinning
-                    // transitions, not spin iterations, so the number is
-                    // a coarse contention signal rather than a spin-rate
-                    // artifact. Wall-clock-dependent; metrics only.
-                    let mut waiting = false;
-                    while !work.round_over() {
-                        let popped = (0..n).map(|off| (worker_id + off) % n).find_map(|t| {
-                            tables[t].pop_ready_with(config.ready_policy.as_ref()).map(|i| (t, i))
-                        });
-                        match popped {
-                            Some((t, i)) => {
-                                waiting = false;
-                                backoff.reset();
-                                work.run_granted(i, store, t, || tables[t].release(i));
-                            }
-                            None => {
-                                if !waiting {
-                                    waiting = true;
-                                    work.lock_waits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                backoff.spin();
-                            }
-                        }
-                    }
+        // Phase 3: round 1's update transactions. Workers scan every
+        // shard's ready queue, starting at a per-worker affinity offset so
+        // the pool spreads over shards instead of contending on shard 0.
+        // Single-shard transactions live wholly in the table they are
+        // popped from, so release goes back to that same table. Idle
+        // workers spin hot: parked threads pay wake-up latency on every
+        // lock-chain handoff, which would serialize contended batches.
+        // The spin lasts one update phase per batch, but the pool plus the
+        // queuer may outnumber the cores, and then it takes CPU from a
+        // running thread.
+        run_guarded(&work, || {
+            let n = tables.len();
+            let backoff = Backoff::new();
+            // Wait-episode metric: count executing→spinning transitions,
+            // not spin iterations, so the number is a coarse contention
+            // signal rather than a spin-rate artifact. Wall-clock-
+            // dependent; metrics only.
+            let mut waiting = false;
+            while !work.round_over() {
+                let popped = (0..n).map(|off| (worker_id + off) % n).find_map(|t| {
+                    tables[t].pop_ready_with(config.ready_policy.as_ref()).map(|i| (t, i))
                 });
-                // The table references are dropped here — before barrier
-                // (3) — so the queuer can reclaim their buffers for the
-                // next round's build.
+                match popped {
+                    Some((t, i)) => {
+                        waiting = false;
+                        backoff.reset();
+                        work.run_granted(i, store, t, || tables[t].release(i));
+                    }
+                    None => {
+                        if !waiting {
+                            waiting = true;
+                            work.lock_waits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        backoff.spin();
+                    }
+                }
             }
-            shared.barrier.wait(); // (3)
-            shared.barrier.wait(); // (4) action published
-            if work.done.load(Ordering::Acquire) {
-                break;
-            }
-        }
+        });
+        // The table references are dropped before barrier (3), so the
+        // queuer can reclaim their buffers for its retry rounds.
+        drop(tables);
+        shared.barrier.wait(); // (3) the worker leaves the batch
     }
 }

@@ -25,6 +25,7 @@ use prognosticator_consensus::{DiskFault, DurabilityStats, LogStore, WalStore};
 use prognosticator_core::faults::{mix, splitmix64};
 use prognosticator_core::{baselines, FaultPlan, Replica, TxOutcome, TxRequest};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of one crash-recovery check.
 #[derive(Debug, Clone)]
@@ -158,13 +159,17 @@ fn run_crashed(
     shards: usize,
     (crash, disk_fault): (u64, Option<DiskFault>),
 ) -> Result<(Vec<BatchTrace>, u64, usize, usize, DurabilityStats, u64), String> {
+    // Several tests in one binary may sweep the same seeds concurrently;
+    // the per-call sequence number keeps their WAL directories apart.
+    static CALL: AtomicU64 = AtomicU64::new(0);
     let dir = config.wal_dir.join(format!(
-        "{}-s{}-w{}-p{}-{}",
+        "{}-s{}-w{}-p{}-{}-{}",
         config.workload.name(),
         config.seed,
         workers,
         shards,
-        std::process::id()
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // SF re-executes failed transactions serially — fewer wasted retries
-    // under heavy conflicts. MF re-enqueues them for parallel retry.
+    // under heavy conflicts. MF re-prepares and re-enqueues them, round
+    // after round; the engine runs those retry rounds on the queuer alone.
     let sf1 = run("MQ-SF", baselines::mq_sf(8), &catalog, &workload, &batches);
     let mf = run("MQ-MF", baselines::mq_mf(8), &catalog, &workload, &batches);
     let _ = mf;
