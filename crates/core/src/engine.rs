@@ -1,28 +1,33 @@
 //! The deterministic multi-threaded batch execution engine.
 //!
 //! One [`Engine`] is a replica's transaction-processing layer: a single
-//! *queuer* (the thread calling [`Engine::execute`]) plus a pool of
-//! persistent *worker threads*, executing batches in phases (paper §III-C):
+//! *queuer* (the thread calling [`Engine::execute`]) that is also worker 0
+//! of a pool of `workers − 1` persistent *worker threads*, executing
+//! batches in phases (paper §III-C):
 //!
-//! 1. **ROT + prepare** — workers drain their private read-only-transaction
-//!    queues against the pre-batch snapshot (lock-less) and, in `MQ` mode,
-//!    help the queuer *prepare indirect keys* for dependent transactions;
+//! 1. **ROT + prepare** — every thread drains its private read-only-
+//!    transaction queue against the pre-batch snapshot (lock-less); the
+//!    queuer then *prepares indirect keys* for dependent transactions,
+//!    helped by the workers in `MQ` mode;
 //! 2. **build** — the queuer populates the lock table, dependent
 //!    transactions ahead of independent ones;
-//! 3. **update** — workers consume non-conflicting transactions from the
-//!    ready queue; dependent transactions validate their pivots first and
-//!    abort (without side effects) if stale;
+//! 3. **update** — every thread drains the ready queues in one loop,
+//!    the queuer's pass also serving the cross-shard exchange; dependent
+//!    transactions validate their pivots first and abort (without side
+//!    effects) if stale;
 //! 4. **failed handling** — single-threaded re-execution in client order
 //!    (`SF`), deterministic re-prepare + re-enqueue rounds (`MF`), or
 //!    hand-back to the client for a future batch (the Calvin baseline).
 //!
-//! The workers meet the queuer at three barriers per batch — (1) prepare
-//! done, (2) lock tables published, (3) update phase done — and leave after
-//! (3). Every later step runs on the queuer alone, `MF`'s re-enqueue rounds
-//! included: the paper's `SF` rule ("re-execute the failed serially")
-//! applied one round at a time, since a retry round is usually one pivot
-//! chain that waking the pool cannot parallelize. Those rounds build and
-//! drain the same lock tables, so grant order and outcomes are unchanged.
+//! The threads meet at three barriers of `workers` parties per batch —
+//! (1) prepare done, (2) lock tables published, (3) update phase done —
+//! and the workers leave after (3); with `workers = 1` there is no pool at
+//! all. Every later step runs on the queuer alone, `MF`'s re-enqueue
+//! rounds included: the paper's `SF` rule ("re-execute the failed
+//! serially") applied one round at a time, since a retry round is usually
+//! one pivot chain that waking the pool cannot parallelize. Those rounds
+//! run the same phase-1 routine and the same drain loop over the same lock
+//! tables, so grant order and outcomes are unchanged.
 //!
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
@@ -44,8 +49,8 @@
 //! classified *while batch `N` executes* (the paper's single-queuer
 //! overlap): [`crate::Replica::execute_stream`] hands batch `N+1` to batch
 //! `N`'s execution, and the queuer classifies it one transaction at a time
-//! in round 1's update phase, where it would otherwise wait for the
-//! workers, finishing any remainder after commit. Dependent-transaction
+//! in round 1's update phase, one step per pass of its drain loop,
+//! finishing any remainder after commit. Dependent-transaction
 //! preparation reads the store and therefore stays inside `execute`, where
 //! it sees exactly the epochs the unpipelined path would — outcomes are
 //! byte-identical either way.
@@ -115,7 +120,9 @@ pub enum Granularity {
 /// [`crate::baselines`].
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Number of worker threads (the queuer is the calling thread).
+    /// Threads that execute a batch, the calling thread (the queuer)
+    /// included: the engine spawns `workers − 1`, so `1` runs every phase
+    /// on the caller and spawns no thread.
     pub workers: usize,
     /// Number of key-space shards the execution core is partitioned into.
     /// Each shard owns a key-interned arena lock table; transactions are
@@ -214,11 +221,13 @@ pub struct StageTimings {
     /// Fresh lock-queue allocations this batch (zero once the builder's
     /// recycled pools cover the working set).
     pub lock_fresh_allocs: u64,
-    /// Worker wait episodes during the update phase: transitions from
-    /// executing to spinning on an empty ready queue. On the engine this
-    /// counts round 1 only — retry rounds run on the queuer alone, which
-    /// never waits — and is wall-clock-dependent (the simulator computes a
-    /// deterministic equivalent over every round).
+    /// Wait episodes during the update phase: transitions from executing
+    /// to spinning on empty ready queues, summed over every thread — the
+    /// queuer's round-1 waits included, since it drains beside the
+    /// workers. On the engine this counts round 1 only — retry rounds run
+    /// on the queuer alone, which never waits — and is wall-clock-
+    /// dependent (the simulator computes a deterministic equivalent over
+    /// every round).
     pub lock_waits: u64,
     /// Contended keys summed over scheduling rounds: keys whose lock
     /// queues held more than one transaction. A pure function of the
@@ -433,13 +442,13 @@ struct BatchWork {
     /// batch coordinate).
     batch_index: u64,
     hooks: Arc<BatchHooks>,
-    /// Worker wait episodes (executing → spinning transitions) during the
-    /// update phase. Wall-clock-dependent; metrics only.
+    /// Wait episodes (executing → spinning transitions) during the update
+    /// phase, on every thread. Wall-clock-dependent; metrics only.
     lock_waits: AtomicU64,
     /// Per-shard execute-time accumulators, indexed by physical shard.
-    /// Workers charge each popped transaction's execution to the shard it
-    /// was popped from; the queuer charges cross-shard transactions to
-    /// their home shard. Wall-clock-dependent; metrics only.
+    /// Each thread charges a popped transaction's execution to the shard
+    /// it was popped from; the exchange charges cross-shard transactions
+    /// to their home shard. Wall-clock-dependent; metrics only.
     shard_exec_ns: Vec<AtomicU64>,
     /// Set when a thread panics *outside* any per-transaction scope (an
     /// engine bug or a catalog/profile mismatch — not attributable to one
@@ -499,6 +508,59 @@ struct Rounds {
     shard_queue_ns: Vec<u64>,
     /// The store latency to restore after a storage-spike batch.
     prior_latency: Option<LatencyConfig>,
+}
+
+impl Rounds {
+    /// One pass of the cross-shard exchange. A cross-shard transaction
+    /// becomes executable only once every owner shard has signalled it
+    /// ready (it is at the head of all its per-key queues — exactly the
+    /// global lock-order condition); the pass collects every table's
+    /// signals, then runs the members now ready on all their owners in
+    /// ascending batch position, releasing slots in ascending shard order.
+    /// That fixed shard-major merge keeps the committed outcome a pure
+    /// function of the batch, never of thread interleaving or shard count.
+    /// Returns whether any signal arrived.
+    fn exchange_pass(
+        &mut self,
+        work: &BatchWork,
+        store: &EpochStore,
+        tables: &[Arc<LockTable>],
+    ) -> bool {
+        if self.cross.is_empty() {
+            return false;
+        }
+        let mut progress = false;
+        let mut ready_cross: Vec<TxIdx> = Vec::new();
+        for table in tables {
+            while let Some(i) = table.pop_foreign_ready() {
+                progress = true;
+                self.cross_wait[i as usize] -= 1;
+                if self.cross_wait[i as usize] == 0 {
+                    ready_cross.push(i);
+                }
+            }
+        }
+        ready_cross.sort_unstable();
+        for i in ready_cross {
+            let owners = &self.cross_owners[i as usize];
+            work.run_granted(i, store, owners[0], || {
+                for &s in owners {
+                    tables[s].release(i);
+                }
+            });
+        }
+        progress
+    }
+}
+
+/// The queuer's share of [`drain`] beyond executing: the cross-shard
+/// exchange and, in round 1, classifying the next batch.
+struct QueuerDuty<'a, 'c> {
+    rounds: &'a mut Rounds,
+    next: Option<&'a mut Classifier<'c>>,
+    /// No other thread drains this round (a retry round, or an engine
+    /// without a pool), so a pass that finds nothing to do is a stall.
+    alone: bool,
 }
 
 /// Runs `f`, converting a panic into the batch-fatal flag so every thread
@@ -721,30 +783,31 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("config", &self.shared.config)
-            .field("workers", &self.handles.lock().len())
+            .field("pool_threads", &self.handles.lock().len())
             .finish_non_exhaustive()
     }
 }
 
 impl Engine {
-    /// Spawns the worker pool.
+    /// Spawns the worker pool: `config.workers − 1` threads, since the
+    /// caller of [`Engine::execute`] is worker 0.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
     pub fn new(config: SchedulerConfig, catalog: Arc<Catalog>, store: Arc<EpochStore>) -> Self {
-        assert!(config.workers > 0, "at least one worker thread is required");
+        assert!(config.workers > 0, "at least one worker (the queuer) is required");
         let router = ShardRouter::new(config.shards);
         let workers = config.workers;
         let shared = Arc::new(Shared {
             config,
-            barrier: std::sync::Barrier::new(workers + 1),
+            barrier: std::sync::Barrier::new(workers),
             work: RwLock::new(None),
             generation: Mutex::new(0),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let mut handles = Vec::with_capacity(workers);
-        for worker_id in 0..workers {
+        let mut handles = Vec::with_capacity(workers - 1);
+        for worker_id in 1..workers {
             let shared = Arc::clone(&shared);
             let store = Arc::clone(&store);
             let handle = std::thread::Builder::new()
@@ -847,14 +910,15 @@ impl Engine {
     ///
     /// The paper's algorithm, one phase function per step; the workers
     /// meet the queuer at three barriers per batch and take part in round
-    /// 1 only (see the module docs).
+    /// 1 only, and the queuer runs the same phase-1 routine and drain loop
+    /// as they do (see the module docs).
     pub fn execute(&self, prepared: PreparedBatch) -> BatchOutcome {
         self.run_batch(prepared, None)
     }
 
-    /// [`Engine::execute`], with the queuer classifying `next` while the
-    /// workers run `prepared`'s update phases (prepare-ahead). Returns the
-    /// outcome and `next`, classified.
+    /// [`Engine::execute`], with the queuer classifying `next` one
+    /// transaction per pass of its round-1 drain loop (prepare-ahead).
+    /// Returns the outcome and `next`, classified.
     pub(crate) fn execute_and_prepare(
         &self,
         prepared: PreparedBatch,
@@ -877,6 +941,7 @@ impl Engine {
         };
         let fresh_queues_before = fresh_queues(&builders);
         let (work, mut rounds, mut outcome) = self.begin_batch(prepared);
+        let config = self.config();
         loop {
             outcome.rounds += 1;
             // Round 1 runs on the pool; the workers leave at barrier (3).
@@ -885,10 +950,14 @@ impl Engine {
             let tables = self.build_round(&work, &mut rounds, &mut builders, &mut outcome);
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
+            let duty = QueuerDuty {
+                rounds: &mut rounds,
+                next: next.as_deref_mut().filter(|_| pooled),
+                alone: !pooled || config.workers == 1,
+            };
+            drain(&work, 0, &self.store, &tables, config.ready_policy.as_ref(), Some(duty));
             if pooled {
-                self.run_exchange(&work, &mut rounds, &tables, next.as_deref_mut());
-            } else {
-                self.run_solo(&work, &mut rounds, &tables);
+                self.shared.barrier.wait(); // (3) update phase done; the workers leave
             }
             let done = self.finish_round(&work, &mut rounds, tables, &mut builders, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
@@ -976,8 +1045,8 @@ impl Engine {
     /// Phases 1–2: prepare, then route every member by its predicted
     /// key-set, enqueue it and freeze one lock table per shard. Round 1
     /// prepares alongside the pool and publishes the tables to it; a retry
-    /// round re-prepares its members against live state alone and keeps
-    /// the tables to itself.
+    /// round re-prepares its members (queued by [`Engine::finish_round`])
+    /// against live state alone and keeps the tables to itself.
     fn build_round(
         &self,
         work: &BatchWork,
@@ -986,23 +1055,10 @@ impl Engine {
         outcome: &mut BatchOutcome,
     ) -> Vec<Arc<LockTable>> {
         let pooled = outcome.rounds == 1;
-        let mode = self.config().prepare;
+        let snapshot = if pooled { Snapshot::Epoch(work.prepare_epoch) } else { Snapshot::Live };
+        prepare_phase(work, 0, &self.store, self.config(), snapshot);
         if pooled {
-            // The queuer always helps preparing (in 1Q mode it is the only
-            // preparer: workers skip the queue).
-            let snapshot = Snapshot::Epoch(work.prepare_epoch);
-            run_guarded(work, || {
-                while let Some(i) = work.prepare_queue.pop() {
-                    prepare_slot(work, i, &self.store, mode, snapshot);
-                }
-            });
             self.shared.barrier.wait(); // (1) prepare done
-        } else {
-            run_guarded(work, || {
-                for &i in &rounds.members {
-                    prepare_slot(work, i, &self.store, mode, Snapshot::Live);
-                }
-            });
         }
 
         // Slots aborted during preparation carry no prediction and their
@@ -1056,98 +1112,6 @@ impl Engine {
         tables
     }
 
-    /// Phase 3, queuer side: workers execute single-shard transactions;
-    /// the queuer resolves cross-shard ones with a deterministic
-    /// exchange. A cross-shard transaction becomes executable only once
-    /// every owner shard has signalled it ready (it is at the head of all
-    /// its per-key queues — exactly the global lock-order condition), and
-    /// ready cross-shard transactions execute in ascending batch position
-    /// with slots released in ascending shard order: a fixed shard-major
-    /// merge, so the committed outcome is a pure function of the batch,
-    /// never of worker interleaving or shard count.
-    ///
-    /// Whenever the queuer would otherwise wait, it classifies the next
-    /// batch (`next`) one transaction at a time, until the round is over.
-    fn run_exchange(
-        &self,
-        work: &BatchWork,
-        rounds: &mut Rounds,
-        tables: &[Arc<LockTable>],
-        mut next: Option<&mut Classifier<'_>>,
-    ) {
-        let mut classify = || next.as_deref_mut().is_some_and(Classifier::step);
-        if rounds.cross.is_empty() {
-            while !work.round_over() && classify() {}
-        } else {
-            run_guarded(work, || {
-                let backoff = Backoff::new();
-                while !work.round_over() {
-                    if self.exchange_pass(work, rounds, tables) {
-                        backoff.reset();
-                    } else if !classify() {
-                        backoff.spin();
-                    }
-                }
-            });
-        }
-        self.shared.barrier.wait(); // (3) update phase done; the workers leave
-    }
-
-    /// Phase 3 of a retry round, on the queuer alone: drains every shard's
-    /// ready queue through the configured [`ReadyPolicy`] and resolves
-    /// cross-shard members with the exchange rule of [`Engine::run_exchange`].
-    /// The earliest-enqueued unfinished member always heads all its
-    /// queues, so every pass makes progress.
-    fn run_solo(&self, work: &BatchWork, rounds: &mut Rounds, tables: &[Arc<LockTable>]) {
-        let policy = self.config().ready_policy.as_ref();
-        run_guarded(work, || {
-            while !work.round_over() {
-                let mut progress = false;
-                for (s, table) in tables.iter().enumerate() {
-                    while let Some(i) = table.pop_ready_with(policy) {
-                        progress = true;
-                        work.run_granted(i, &self.store, s, || table.release(i));
-                    }
-                }
-                progress |= self.exchange_pass(work, rounds, tables);
-                assert!(progress, "retry round stalled with no ready transaction");
-            }
-        });
-    }
-
-    /// One pass of the cross-shard exchange: collects every table's
-    /// foreign-ready signals, then runs the members now ready on all their
-    /// owners in ascending batch position, releasing slots in ascending
-    /// shard order. Returns whether any signal arrived.
-    fn exchange_pass(
-        &self,
-        work: &BatchWork,
-        rounds: &mut Rounds,
-        tables: &[Arc<LockTable>],
-    ) -> bool {
-        let mut progress = false;
-        let mut ready_cross: Vec<TxIdx> = Vec::new();
-        for table in tables {
-            while let Some(i) = table.pop_foreign_ready() {
-                progress = true;
-                rounds.cross_wait[i as usize] -= 1;
-                if rounds.cross_wait[i as usize] == 0 {
-                    ready_cross.push(i);
-                }
-            }
-        }
-        ready_cross.sort_unstable();
-        for i in ready_cross {
-            let owners = &rounds.cross_owners[i as usize];
-            work.run_granted(i, &self.store, owners[0], || {
-                for &s in owners {
-                    tables[s].release(i);
-                }
-            });
-        }
-        progress
-    }
-
     /// Phase 4: recycle the round's tables, then enact the failed-
     /// transaction policy. Returns whether the batch is done.
     fn finish_round(
@@ -1197,6 +1161,7 @@ impl Engine {
             RoundAction::Reenqueue => {
                 for &i in &failed {
                     work.slots[i as usize].state.lock().prediction = None;
+                    work.prepare_queue.push(i);
                 }
                 rounds.members = failed;
             }
@@ -1291,21 +1256,94 @@ impl Drop for Engine {
     }
 }
 
-/// Prepares slot `i` against `snapshot` (the staleness-adjusted epoch in
-/// round 1, live state in retry rounds). Runs on the queuer and, in round
-/// 1 of `MQ` mode, on idle workers.
-fn prepare_slot(
+/// Phase 1 on thread `id`: runs its ROTs against the pre-batch snapshot,
+/// then prepares dependent transactions from the shared queue against
+/// `snapshot` (the staleness-adjusted epoch in round 1, live state in
+/// retry rounds). The queuer (id 0) always prepares — in `1Q` mode it is
+/// the only preparer — and the workers help in `MQ` mode.
+fn prepare_phase(
     work: &BatchWork,
-    i: TxIdx,
+    id: usize,
     store: &EpochStore,
-    mode: PrepareMode,
+    config: &SchedulerConfig,
     snapshot: Snapshot,
 ) {
-    let t0 = Instant::now();
-    let slot = &work.slots[i as usize];
-    sched::prepare(store, &slot.tx, &mut slot.state.lock(), mode, snapshot);
-    work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
-    work.prepare_count.fetch_add(1, Ordering::Relaxed);
+    run_guarded(work, || {
+        while let Some(i) = work.rot_queues[id].pop() {
+            run_slot(work, i, store, RunMode::Snapshot(work.snapshot_epoch));
+        }
+        if id == 0 || config.parallel_prepare {
+            while let Some(i) = work.prepare_queue.pop() {
+                let t0 = Instant::now();
+                let slot = &work.slots[i as usize];
+                sched::prepare(store, &slot.tx, &mut slot.state.lock(), config.prepare, snapshot);
+                work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
+                work.prepare_count.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    });
+}
+
+/// Phase 3 on thread `id`, in every round: pops ready transactions through
+/// `policy`, scanning the shards from the thread's affinity offset so the
+/// threads spread over shards instead of contending on shard 0, runs them
+/// and releases their slots, until the round is over. A single-shard
+/// transaction lives wholly in the table it is popped from, so release
+/// goes back to that same table.
+///
+/// The queuer passes its `duty`: each of its passes runs the cross-shard
+/// exchange, then classifies one transaction of the next batch, then
+/// executes — so classification overlaps the round instead of trailing
+/// commit. Idle threads spin hot: parked threads pay wake-up latency on
+/// every lock-chain handoff, which would serialize contended batches.
+fn drain(
+    work: &BatchWork,
+    id: usize,
+    store: &EpochStore,
+    tables: &[Arc<LockTable>],
+    policy: &dyn ReadyPolicy,
+    mut duty: Option<QueuerDuty<'_, '_>>,
+) {
+    run_guarded(work, || {
+        let n = tables.len();
+        let backoff = Backoff::new();
+        // Wait-episode metric: count executing→spinning transitions, not spin
+        // iterations, so the number is a coarse contention signal rather than
+        // a spin-rate artifact. Wall-clock-dependent; metrics only.
+        let mut waiting = false;
+        while !work.round_over() {
+            let (mut progress, mut classified) = (false, false);
+            if let Some(duty) = duty.as_mut() {
+                progress = duty.rounds.exchange_pass(work, store, tables);
+                classified = duty.next.as_deref_mut().is_some_and(Classifier::step);
+            }
+            let popped = (0..n)
+                .map(|off| (id + off) % n)
+                .find_map(|t| tables[t].pop_ready_with(policy).map(|i| (t, i)));
+            if let Some((t, i)) = popped {
+                work.run_granted(i, store, t, || tables[t].release(i));
+                progress = true;
+            }
+            if progress {
+                waiting = false;
+                backoff.reset();
+                continue;
+            }
+            // The earliest-enqueued unfinished member always heads all its
+            // queues, so a lone drainer always finds something to run.
+            assert!(
+                !duty.as_ref().is_some_and(|duty| duty.alone),
+                "retry round stalled with no ready transaction"
+            );
+            if !waiting {
+                waiting = true;
+                work.lock_waits.fetch_add(1, Ordering::Relaxed);
+            }
+            if !classified {
+                backoff.spin();
+            }
+        }
+    });
 }
 
 /// Runs slot `i` through [`sched::run_tx`] and books the verdict: commit
@@ -1346,61 +1384,12 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
             None => continue,
         };
 
-        // Phase 1: ROTs, then help prepare.
-        run_guarded(&work, || {
-            while let Some(i) = work.rot_queues[worker_id].pop() {
-                run_slot(&work, i, store, RunMode::Snapshot(work.snapshot_epoch));
-            }
-            if config.parallel_prepare {
-                let snapshot = Snapshot::Epoch(work.prepare_epoch);
-                while let Some(i) = work.prepare_queue.pop() {
-                    prepare_slot(&work, i, store, config.prepare, snapshot);
-                }
-            }
-        });
+        prepare_phase(&work, worker_id, store, config, Snapshot::Epoch(work.prepare_epoch));
         shared.barrier.wait(); // (1)
         shared.barrier.wait(); // (2) lock tables ready
         let tables = work.lock_tables.read().clone();
         debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
-
-        // Phase 3: round 1's update transactions. Workers scan every
-        // shard's ready queue, starting at a per-worker affinity offset so
-        // the pool spreads over shards instead of contending on shard 0.
-        // Single-shard transactions live wholly in the table they are
-        // popped from, so release goes back to that same table. Idle
-        // workers spin hot: parked threads pay wake-up latency on every
-        // lock-chain handoff, which would serialize contended batches.
-        // The spin lasts one update phase per batch, but the pool plus the
-        // queuer may outnumber the cores, and then it takes CPU from a
-        // running thread.
-        run_guarded(&work, || {
-            let n = tables.len();
-            let backoff = Backoff::new();
-            // Wait-episode metric: count executing→spinning transitions,
-            // not spin iterations, so the number is a coarse contention
-            // signal rather than a spin-rate artifact. Wall-clock-
-            // dependent; metrics only.
-            let mut waiting = false;
-            while !work.round_over() {
-                let popped = (0..n).map(|off| (worker_id + off) % n).find_map(|t| {
-                    tables[t].pop_ready_with(config.ready_policy.as_ref()).map(|i| (t, i))
-                });
-                match popped {
-                    Some((t, i)) => {
-                        waiting = false;
-                        backoff.reset();
-                        work.run_granted(i, store, t, || tables[t].release(i));
-                    }
-                    None => {
-                        if !waiting {
-                            waiting = true;
-                            work.lock_waits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        backoff.spin();
-                    }
-                }
-            }
-        });
+        drain(&work, worker_id, store, &tables, config.ready_policy.as_ref(), None);
         // The table references are dropped before barrier (3), so the
         // queuer can reclaim their buffers for its retry rounds.
         drop(tables);

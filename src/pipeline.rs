@@ -25,6 +25,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Epochs of store history a replica retains after commit when the
+/// scheduler config sets no window; older versions are garbage-collected
+/// (each key keeps its latest version, so digests never change).
+const DEFAULT_GC_KEEP_EPOCHS: u64 = 8;
+
 /// Configuration of the assembled pipeline.
 #[derive(Clone)]
 pub struct PipelineConfig {
@@ -42,7 +47,9 @@ pub struct PipelineConfig {
     /// key-space shard count (`SchedulerConfig::shards`) through to every
     /// replica's engine; sharding is a throughput knob only and never
     /// changes outcomes or digests (DESIGN.md §3.5), so fleets mixing
-    /// shard counts still converge.
+    /// shard counts still converge. When it sets no GC window
+    /// (`SchedulerConfig::gc_keep_epochs`), each replica keeps 8 epochs of
+    /// store history, more if `prepare_staleness` needs them.
     pub scheduler: SchedulerConfig,
     /// Seed for the simulated network.
     pub seed: u64,
@@ -50,12 +57,6 @@ pub struct PipelineConfig {
     pub consensus_timeout: Duration,
     /// Bounded retry-with-backoff applied when a proposal times out.
     pub retry: RetryPolicy,
-    /// Epochs of store history each replica retains after commit; older
-    /// versions are garbage-collected (each key keeps its latest version,
-    /// so digests never change). Applied only when the scheduler config
-    /// itself doesn't set a window, and clamped to exceed
-    /// `prepare_staleness`. `None` keeps history forever.
-    pub gc_keep_epochs: Option<u64>,
     /// Admission bound: maximum transactions queued client-side (buffered
     /// plus cut-but-unproposed). Submissions beyond it get a
     /// deterministic [`PipelineError::Rejected`]. `None` leaves admission
@@ -85,7 +86,6 @@ impl Default for PipelineConfig {
             seed: 0x5EED,
             consensus_timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
-            gc_keep_epochs: Some(8),
             max_pending: None,
             snapshot_interval: None,
             wal_dir: None,
@@ -318,10 +318,9 @@ impl Pipeline {
     fn scheduler_config(&self) -> SchedulerConfig {
         let mut scheduler = self.config.scheduler.clone();
         if scheduler.gc_keep_epochs.is_none() {
-            if let Some(keep) = self.config.gc_keep_epochs {
-                // The GC window must retain the preparation snapshots.
-                scheduler.gc_keep_epochs = Some(keep.max(scheduler.prepare_staleness + 1));
-            }
+            // The GC window must retain the preparation snapshots.
+            let keep = DEFAULT_GC_KEEP_EPOCHS.max(scheduler.prepare_staleness + 1);
+            scheduler.gc_keep_epochs = Some(keep);
         }
         scheduler
     }
@@ -1023,7 +1022,8 @@ mod tests {
     #[test]
     fn gc_keeps_version_count_bounded_over_many_batches() {
         let (catalog, bump) = counter_catalog();
-        let config = PipelineConfig { gc_keep_epochs: Some(4), ..small_config() };
+        let mut config = small_config();
+        config.scheduler.gc_keep_epochs = Some(4);
         let mut p = Pipeline::new(catalog, config, 1, populate()).expect("boots");
         let mut peak = 0usize;
         // 40 batches of 8 bumps over 16 keys: without GC each batch adds

@@ -63,6 +63,13 @@ use wire::{WireError, WireOutcome, WirePayload};
 /// [`ServerReport::engine_unresolved`]).
 const MAX_SETTLE_ROUNDS: u32 = 64;
 
+/// Cadence of the connection/engine polling loops: the acceptor's sleep,
+/// the engine loop's receive timeout and each connection's read timeout.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Requests the engine loop ingests per settle round.
+const ENGINE_BATCH: usize = 64;
+
 /// Tuning knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -85,10 +92,6 @@ pub struct ServerConfig {
     /// Grace period for in-flight requests during drain before the
     /// connection is force-closed.
     pub drain_timeout: Duration,
-    /// Cadence of the connection/engine polling loops.
-    pub poll_interval: Duration,
-    /// Requests the engine ingests per settle round.
-    pub engine_batch: usize,
     /// Retry/deadline policy of the engine's [`ClientSession`]. The
     /// deadline is the server-side admission budget: under sustained
     /// overload a request terminally rejects after this long.
@@ -105,8 +108,6 @@ impl Default for ServerConfig {
             frame_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(1),
             drain_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(2),
-            engine_batch: 64,
             client: ClientConfig {
                 deadline: Duration::from_millis(200),
                 ..ClientConfig::default()
@@ -393,11 +394,11 @@ fn engine_loop(
     let mut open = true;
     while open || !pending.is_empty() {
         let mut ingested = 0usize;
-        match rx.recv_timeout(shared.config.poll_interval) {
+        match rx.recv_timeout(POLL_INTERVAL) {
             Ok(msg) => {
                 handle_engine_msg(&mut session, &mut pending, shared, msg);
                 ingested += 1;
-                while ingested < shared.config.engine_batch.max(1) {
+                while ingested < ENGINE_BATCH {
                     match rx.try_recv() {
                         Ok(msg) => {
                             handle_engine_msg(&mut session, &mut pending, shared, msg);
@@ -518,7 +519,7 @@ fn acceptor_loop(listener: TcpListener, shared: &Shared) {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(shared.config.poll_interval);
+                thread::sleep(POLL_INTERVAL);
             }
             Err(_) => break,
         }
@@ -576,7 +577,7 @@ enum ConnEnd {
 fn serve_conn(conn_id: u64, mut stream: TcpStream, shared: &Shared, engine_tx: &Sender<EngineMsg>) {
     let cfg = &shared.config;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
     let (resp_tx, resp_rx) = mpsc::channel::<(u64, WireOutcome)>();
     let mut rxbuf: Vec<u8> = Vec::new();
