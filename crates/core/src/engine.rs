@@ -16,18 +16,19 @@
 //!    transactions validate their pivots first and abort (without side
 //!    effects) if stale;
 //! 4. **failed handling** — single-threaded re-execution in client order
-//!    (`SF`), deterministic re-prepare + re-enqueue rounds (`MF`), or
+//!    (`SF`), deterministic re-prepare + re-run rounds (`MF`), or
 //!    hand-back to the client for a future batch (the Calvin baseline).
 //!
 //! The threads meet at three barriers of `workers` parties per batch —
 //! (1) prepare done, (2) lock tables published, (3) update phase done —
 //! and the workers leave after (3); with `workers = 1` there is no pool at
-//! all. Every later step runs on the queuer alone, `MF`'s re-enqueue
-//! rounds included: the paper's `SF` rule ("re-execute the failed
-//! serially") applied one round at a time, since a retry round is usually
-//! one pivot chain that waking the pool cannot parallelize. Those rounds
-//! run the same phase-1 routine and the same drain loop over the same lock
-//! tables, so grant order and outcomes are unchanged.
+//! all. Every later step runs on the queuer alone, `MF`'s retry rounds
+//! included: the paper's `SF` rule ("re-execute the failed serially")
+//! applied one round at a time, since a retry round is usually one pivot
+//! chain that waking the pool cannot parallelize. A round with one
+//! drainer (every retry round, and round 1 when `workers = 1`) builds no
+//! lock table: it runs its members in member order, a grant order of the
+//! table it would build, so verdicts and outcomes are unchanged.
 //!
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
@@ -49,8 +50,8 @@
 //! classified *while batch `N` executes* (the paper's single-queuer
 //! overlap): [`crate::Replica::execute_stream`] hands batch `N+1` to batch
 //! `N`'s execution, and the queuer classifies it one transaction at a time
-//! in round 1's update phase, one step per pass of its drain loop,
-//! finishing any remainder after commit. Dependent-transaction
+//! in round 1's update phase, one step per pass of its drain loop (at one
+//! worker, per execution), finishing any remainder after commit. Dependent-transaction
 //! preparation reads the store and therefore stays inside `execute`, where
 //! it sees exactly the epochs the unpipelined path would — outcomes are
 //! byte-identical either way.
@@ -79,6 +80,7 @@ use prognosticator_obs::{Counter, Event, FlightRecorder, Histogram, Registry};
 use prognosticator_storage::{EpochStore, LatencyConfig};
 use prognosticator_symexec::TxClass;
 use prognosticator_txir::{Key, Value};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -205,10 +207,11 @@ pub struct StageTimings {
     /// otherwise.
     pub predict_ns: u64,
     /// Lock-queue population: dependent-transaction preparation plus
-    /// lock-table build/publish, summed over scheduling rounds.
+    /// lock-table build/publish (a tableless round: its `LockWait` events
+    /// while recording), summed over scheduling rounds.
     pub queue_ns: u64,
-    /// Update phase (draining the ready queues) plus failed handling,
-    /// summed over scheduling rounds.
+    /// Update phase (draining the ready queues, or a tableless round's
+    /// in-order run) plus failed handling, summed over scheduling rounds.
     pub execute_ns: u64,
     /// Epoch advance + store garbage collection.
     pub commit_ns: u64,
@@ -229,12 +232,12 @@ pub struct StageTimings {
     /// dependent (the simulator computes a deterministic equivalent over
     /// every round).
     pub lock_waits: u64,
-    /// Contended keys summed over scheduling rounds: keys whose lock
-    /// queues held more than one transaction. A pure function of the
-    /// batch contents — identical on every replica.
+    /// Contended keys (queues of more than one transaction) of the tables
+    /// built: pooled round 1's, none at `workers = 1` (the simulator sums
+    /// every round). A pure function of the batch and the worker count.
     pub lock_contended_keys: u64,
-    /// Update transactions whose predicted key-set routed to exactly one
-    /// shard, summed over rounds. Deterministic for a given shard count
+    /// Update transactions routed to exactly one shard in pooled round 1,
+    /// the one round that routes. Deterministic for a given shard count
     /// (metrics only: the value differs *across* shard counts).
     pub single_shard_txs: u64,
     /// Update transactions spanning several shards, resolved by the
@@ -278,18 +281,17 @@ impl StageTimings {
     }
 }
 
-/// Per-shard queue/execute wall-clock split of one batch, indexed by
-/// physical shard. Wall-clock-dependent — metrics only, never compared by
-/// the determinism oracles.
+/// Per-shard queue/execute wall-clock split of pooled round 1 (no other
+/// round has shards), indexed by physical shard. Wall-clock-dependent —
+/// metrics only, never compared by the determinism oracles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStageTimings {
     /// Lock-queue population charged to this shard: enqueue time of the
-    /// transactions it is home to, plus its builder's freeze time, summed
-    /// over scheduling rounds.
+    /// transactions it is home to, plus its builder's freeze time.
     pub queue_ns: u64,
     /// Execution time of the transactions popped from this shard's ready
     /// queue (cross-shard transactions are charged to their home — i.e.
-    /// lowest-owner — shard), summed over rounds and workers.
+    /// lowest-owner — shard), summed over workers.
     pub execute_ns: u64,
 }
 
@@ -423,7 +425,7 @@ struct BatchWork {
     slots: Vec<TxSlot>,
     rot_queues: Vec<SegQueue<TxIdx>>,
     prepare_queue: SegQueue<TxIdx>,
-    /// Round 1's per-shard lock tables, indexed by physical shard
+    /// Pooled round 1's per-shard lock tables, indexed by physical shard
     /// (published at barrier (2), drained for recycling after barrier
     /// (3)).
     lock_tables: RwLock<Vec<Arc<LockTable>>>,
@@ -474,8 +476,14 @@ impl BatchWork {
 
     /// Executes granted update transaction `i`, then `release`s its lock
     /// slots — on commit, retry and abort alike — charging the time to
-    /// `shard`.
-    fn run_granted(&self, i: TxIdx, store: &EpochStore, shard: usize, release: impl FnOnce()) {
+    /// `shard` (a round without tables charges no shard).
+    fn run_granted(
+        &self,
+        i: TxIdx,
+        store: &EpochStore,
+        shard: Option<usize>,
+        release: impl FnOnce(),
+    ) {
         let (batch, tx) = (self.batch_index, u64::from(i));
         if let Some(rec) = &self.hooks.recorder {
             rec.record(|| Event::LockGrant { batch, tx });
@@ -483,7 +491,9 @@ impl BatchWork {
         let t_exec = Instant::now();
         run_slot(self, i, store, RunMode::Locked);
         release();
-        self.shard_exec_ns[shard].fetch_add(elapsed_ns(t_exec), Ordering::Relaxed);
+        if let Some(shard) = shard {
+            self.shard_exec_ns[shard].fetch_add(elapsed_ns(t_exec), Ordering::Relaxed);
+        }
         if let Some(rec) = &self.hooks.recorder {
             rec.record(|| Event::LockRelease { batch, tx });
         }
@@ -498,7 +508,7 @@ struct Rounds {
     /// The coming round's candidates: every update transaction in round
     /// 1 (DTs ahead of ITs, §III-C), the previous round's failures after.
     members: Vec<TxIdx>,
-    /// This round's cross-shard members.
+    /// Pooled round 1's cross-shard members.
     cross: Vec<TxIdx>,
     /// Per batch position: owner shards that have not yet signalled the
     /// transaction ready, and the ascending owner list.
@@ -543,7 +553,7 @@ impl Rounds {
         ready_cross.sort_unstable();
         for i in ready_cross {
             let owners = &self.cross_owners[i as usize];
-            work.run_granted(i, store, owners[0], || {
+            work.run_granted(i, store, Some(owners[0]), || {
                 for &s in owners {
                     tables[s].release(i);
                 }
@@ -554,13 +564,10 @@ impl Rounds {
 }
 
 /// The queuer's share of [`drain`] beyond executing: the cross-shard
-/// exchange and, in round 1, classifying the next batch.
+/// exchange and classifying the next batch.
 struct QueuerDuty<'a, 'c> {
     rounds: &'a mut Rounds,
     next: Option<&'a mut Classifier<'c>>,
-    /// No other thread drains this round (a retry round, or an engine
-    /// without a pool), so a pass that finds nothing to do is a stall.
-    alone: bool,
 }
 
 /// Runs `f`, converting a panic into the batch-fatal flag so every thread
@@ -673,14 +680,28 @@ fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     }
 }
 
-/// Records a frozen table's contended queues as `LockWait` flight events
-/// while recording.
-fn note_waiters(work: &BatchWork, table: &LockTable) {
-    if let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) {
-        let batch = work.batch_index;
-        for (key, tx, depth) in table.waiters() {
-            let (shard, key, tx) = (ShardRouter::fingerprint(key), key_fingerprint(key), u64::from(tx));
-            rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
+/// While recording, records a round's lock-queue structure as `LockWait`
+/// events: with per-key FIFO queues filled in member order (as a lock
+/// table is, built or not), each member waits on each distinct key of its
+/// key-set at depth = the number of earlier members locking that key.
+fn note_waiters(work: &BatchWork, members: &[TxIdx]) {
+    let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) else { return };
+    let batch = work.batch_index;
+    let mut queued: HashMap<Key, u64> = HashMap::new();
+    for &i in members {
+        let slot = &work.slots[i as usize];
+        let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
+        for (n, key) in keys.iter().enumerate() {
+            if keys[..n].contains(key) {
+                continue;
+            }
+            let depth = queued.entry(key.clone()).or_insert(0);
+            if *depth > 0 {
+                let (tx, depth) = (u64::from(i), *depth);
+                let (shard, key) = (ShardRouter::fingerprint(key), key_fingerprint(key));
+                rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
+            }
+            *depth += 1;
         }
     }
 }
@@ -944,22 +965,53 @@ impl Engine {
         let config = self.config();
         loop {
             outcome.rounds += 1;
-            // Round 1 runs on the pool; the workers leave at barrier (3).
-            let pooled = outcome.rounds == 1;
+            let first = outcome.rounds == 1;
+            // Round 1 of an engine with a pool drains beside the workers,
+            // who leave at barrier (3); every other round has one drainer.
+            let pooled = first && config.workers > 1;
             let round_start = Instant::now();
-            let tables = self.build_round(&work, &mut rounds, &mut builders, &mut outcome);
+            let snapshot = if first { Snapshot::Epoch(work.prepare_epoch) } else { Snapshot::Live };
+            prepare_phase(&work, 0, &self.store, config, snapshot);
+            if pooled {
+                self.shared.barrier.wait(); // (1) prepare done
+            }
+            // Slots aborted during preparation carry no prediction and their
+            // verdict is already final, so they are excluded here; the
+            // exclusion is deterministic because abort decisions are.
+            rounds.members.retain(|&i| work.slots[i as usize].state.lock().aborted.is_none());
+            note_waiters(&work, &rounds.members);
+            let tables = if pooled {
+                self.build_tables(&work, &mut rounds, &mut builders, &mut outcome)
+            } else {
+                Vec::new()
+            };
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
-            let duty = QueuerDuty {
-                rounds: &mut rounds,
-                next: next.as_deref_mut().filter(|_| pooled),
-                alone: !pooled || config.workers == 1,
-            };
-            drain(&work, 0, &self.store, &tables, config.ready_policy.as_ref(), Some(duty));
             if pooled {
+                let duty = QueuerDuty { rounds: &mut rounds, next: next.as_deref_mut() };
+                drain(&work, 0, &self.store, &tables, config.ready_policy.as_ref(), Some(duty));
                 self.shared.barrier.wait(); // (3) update phase done; the workers leave
+                // Reclaim the buffers for the next batch (a table a fatal
+                // wind-down left in a worker's hands is dropped instead).
+                work.lock_tables.write().clear();
+                for table in tables.into_iter().filter_map(|t| Arc::try_unwrap(t).ok()) {
+                    builders[table.shard() as usize].recycle(table);
+                }
+            } else {
+                // One drainer, no table: member order is a grant order of the
+                // per-key FIFO queues, and each transaction reads only keys it
+                // locks, so it reads what a table would give it.
+                let mut next = next.as_deref_mut().filter(|_| first);
+                run_guarded(&work, || {
+                    for &i in &rounds.members {
+                        if let Some(next) = next.as_deref_mut() {
+                            next.step();
+                        }
+                        work.run_granted(i, &self.store, None, || {});
+                    }
+                });
             }
-            let done = self.finish_round(&work, &mut rounds, tables, &mut builders, &mut outcome);
+            let done = self.finish_round(&work, &mut rounds, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
             if done {
                 break;
@@ -1042,35 +1094,19 @@ impl Engine {
         (work, rounds, BatchOutcome { batch_size, stage, ..BatchOutcome::default() })
     }
 
-    /// Phases 1–2: prepare, then route every member by its predicted
-    /// key-set, enqueue it and freeze one lock table per shard. Round 1
-    /// prepares alongside the pool and publishes the tables to it; a retry
-    /// round re-prepares its members (queued by [`Engine::finish_round`])
-    /// against live state alone and keeps the tables to itself.
-    fn build_round(
+    /// Phase 2 of a pooled round 1: routes and enqueues every member by its
+    /// predicted key-set, freezes one lock table per shard and publishes
+    /// the tables to the pool.
+    fn build_tables(
         &self,
         work: &BatchWork,
         rounds: &mut Rounds,
         builders: &mut [LockTableBuilder],
         outcome: &mut BatchOutcome,
     ) -> Vec<Arc<LockTable>> {
-        let pooled = outcome.rounds == 1;
-        let snapshot = if pooled { Snapshot::Epoch(work.prepare_epoch) } else { Snapshot::Live };
-        prepare_phase(work, 0, &self.store, self.config(), snapshot);
-        if pooled {
-            self.shared.barrier.wait(); // (1) prepare done
-        }
-
-        // Slots aborted during preparation carry no prediction and their
-        // verdict is already final, so they are excluded here; the
-        // exclusion is deterministic because abort decisions are.
-        rounds.members.retain(|&i| work.slots[i as usize].state.lock().aborted.is_none());
         // Single-shard transactions enqueue locally on their owner;
         // cross-shard ones enqueue a foreign subset on every owner and
-        // are resolved by the exchange. Routes are recomputed every
-        // round: failed transactions re-prepare against live state and
-        // may predict a different key-set.
-        rounds.cross.clear();
+        // are resolved by the exchange.
         for &i in &rounds.members {
             let slot = &work.slots[i as usize];
             let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
@@ -1100,40 +1136,22 @@ impl Engine {
             let table = Arc::new(b.freeze(work.slots.len()));
             rounds.shard_queue_ns[s] += elapsed_ns(t_freeze);
             outcome.stage.lock_contended_keys += table.contended_keys();
-            note_waiters(work, &table);
             tables.push(table);
         }
         work.round_total.store(rounds.members.len(), Ordering::Release);
-        work.completed.store(0, Ordering::Release);
-        if pooled {
-            *work.lock_tables.write() = tables.clone();
-            self.shared.barrier.wait(); // (2) lock tables published
-        }
+        *work.lock_tables.write() = tables.clone();
+        self.shared.barrier.wait(); // (2) lock tables published
         tables
     }
 
-    /// Phase 4: recycle the round's tables, then enact the failed-
-    /// transaction policy. Returns whether the batch is done.
+    /// Phase 4: enacts the failed-transaction policy. Returns whether the
+    /// batch is done.
     fn finish_round(
         &self,
         work: &BatchWork,
         rounds: &mut Rounds,
-        tables: Vec<Arc<LockTable>>,
-        builders: &mut [LockTableBuilder],
         outcome: &mut BatchOutcome,
     ) -> bool {
-        // Workers dropped their table references before barrier (3);
-        // reclaim each round's buffers for the next build, per shard.
-        // (Under a batch-fatal wind-down a worker may have bailed out
-        // early and still hold a reference — then the unwrap fails and
-        // that table is simply dropped.)
-        work.lock_tables.write().clear();
-        for table in tables {
-            if let Ok(table) = Arc::try_unwrap(table) {
-                builders[table.shard() as usize].recycle(table);
-            }
-        }
-
         let mut failed = std::mem::take(&mut *work.failed.lock());
         failed.sort_unstable();
         outcome.aborts += failed.len();
@@ -1284,7 +1302,7 @@ fn prepare_phase(
     });
 }
 
-/// Phase 3 on thread `id`, in every round: pops ready transactions through
+/// Phase 3 on thread `id` in a pooled round 1: pops ready transactions through
 /// `policy`, scanning the shards from the thread's affinity offset so the
 /// threads spread over shards instead of contending on shard 0, runs them
 /// and releases their slots, until the round is over. A single-shard
@@ -1321,7 +1339,7 @@ fn drain(
                 .map(|off| (id + off) % n)
                 .find_map(|t| tables[t].pop_ready_with(policy).map(|i| (t, i)));
             if let Some((t, i)) = popped {
-                work.run_granted(i, store, t, || tables[t].release(i));
+                work.run_granted(i, store, Some(t), || tables[t].release(i));
                 progress = true;
             }
             if progress {
@@ -1329,12 +1347,6 @@ fn drain(
                 backoff.reset();
                 continue;
             }
-            // The earliest-enqueued unfinished member always heads all its
-            // queues, so a lone drainer always finds something to run.
-            assert!(
-                !duty.as_ref().is_some_and(|duty| duty.alone),
-                "retry round stalled with no ready transaction"
-            );
             if !waiting {
                 waiting = true;
                 work.lock_waits.fetch_add(1, Ordering::Relaxed);
@@ -1391,7 +1403,7 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
         debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
         drain(&work, worker_id, store, &tables, config.ready_policy.as_ref(), None);
         // The table references are dropped before barrier (3), so the
-        // queuer can reclaim their buffers for its retry rounds.
+        // queuer can reclaim their buffers for the next batch.
         drop(tables);
         shared.barrier.wait(); // (3) the worker leaves the batch
     }

@@ -510,22 +510,6 @@ impl LockTable {
     pub fn contended_keys(&self) -> u64 {
         self.queues.iter().filter(|q| q.txs.len() > 1).count() as u64
     }
-
-    /// Deterministic wait edges of the frozen build: for every contended
-    /// queue, yields `(key, tx, depth)` for each transaction behind the
-    /// head (`depth` 1 = directly behind the holder). Like
-    /// [`LockTable::contended_keys`], this reflects queue structure, not
-    /// runtime waiting.
-    pub fn waiters(&self) -> impl Iterator<Item = (&Key, TxIdx, u64)> + '_ {
-        self.queues.iter().enumerate().flat_map(move |(id, q)| {
-            let key = &self.keys[id];
-            q.txs
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(move |(depth, &tx)| (key, tx, depth as u64))
-        })
-    }
 }
 
 #[cfg(test)]

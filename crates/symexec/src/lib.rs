@@ -30,7 +30,6 @@
 //! # }
 //! ```
 
-pub mod codec;
 pub mod explorer;
 pub mod profile;
 pub mod relevance;
@@ -38,7 +37,6 @@ pub mod rws;
 pub mod solver;
 pub mod sym;
 
-pub use codec::{decode_profile, encode_profile, DecodeError};
 pub use explorer::{
     analyze, profile_program, Analysis, AnalysisStats, ExploreError, ExplorerConfig,
 };

@@ -10,6 +10,14 @@
 //! depth (the queuer classifies batch `N+1` inside batch `N`'s update
 //! phases), comparing every explored schedule against a FIFO reference
 //! run.
+//!
+//! A policy chooses only where lock tables are drained: round 1 of an
+//! engine with a worker pool. A round with one drainer — every `MF` retry
+//! round, and round 1 at one worker — runs its members in member order
+//! with no table, so it has no pick to perturb. That loses no coverage:
+//! the lone drainer's order is fixed rather than schedule-dependent, and
+//! `tests/retry_rounds.rs` pins it (a tagged pivot chain whose digest
+//! records which copy each retry round commits first).
 
 use crate::workload::{TestWorkload, WorkloadKind};
 use prognosticator_core::{

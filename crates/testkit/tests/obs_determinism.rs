@@ -44,7 +44,7 @@ impl Drop for DisableOnDrop {
 fn schedule_oracle_is_identical_with_obs_on_and_off() {
     let _guard = lock();
     let _restore = DisableOnDrop;
-    for workload in [WorkloadKind::SmallBank, WorkloadKind::Tpcc] {
+    for workload in [WorkloadKind::SmallBank, WorkloadKind::Tpcc, WorkloadKind::Rubis] {
         let sweep = ScheduleSweep {
             batches: 2,
             batch_size: 16,

@@ -1,15 +1,15 @@
 //! Profile shipping: the paper's client runs symbolic execution **once,
 //! offline**, then ships the profiles to the replicas together with the
-//! transaction requests (§III-A). This example renders the TPC-C programs
-//! as pseudocode, encodes their profiles with the wire codec, "sends" them
-//! across a process boundary (bytes), and shows the two kinds of dependent
-//! transactions from §III-C: those whose profile tree can be traversed
-//! from the inputs alone (client can pre-resolve the PSC) and those whose
-//! path conditions themselves need pivot values.
+//! transaction requests (§III-A). In this system every replica builds the
+//! same profiles itself, in its `Catalog`, so no profile crosses a process
+//! boundary. This example renders the TPC-C programs as pseudocode,
+//! profiles them, and shows the two kinds of dependent transactions from
+//! §III-C: those whose profile tree can be traversed from the inputs alone
+//! (client can pre-resolve the PSC) and those whose path conditions
+//! themselves need pivot values.
 //!
 //! Run: `cargo run --release --example profile_shipping`
 
-use prognosticator::symexec::{decode_profile, encode_profile};
 use prognosticator::txir::render;
 use prognosticator::workloads::{tpcc, TpccConfig};
 
@@ -20,34 +20,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("── newOrder as the profiler sees it ──");
     print!("{}", render(&programs.new_order, &programs.tables));
 
-    // Offline analysis at the client.
+    // Offline analysis, as the paper's client would run it.
     for (name, program) in
         [("new_order", &programs.new_order), ("payment", &programs.payment), ("delivery", &programs.delivery)]
     {
         let analysis = prognosticator::symexec::profile_program(program)?;
         let profile = analysis.profile;
 
-        // Ship the profile: encode → bytes → decode (what the Client
-        // Request Dispatcher sends to the System Replicas).
-        let wire = encode_profile(&profile);
-        let received = decode_profile(&wire)?;
-        assert_eq!(profile, received);
-
         // §III-C distinguishes dependent transactions whose PSC tree
         // traversal needs pivots (queuer must resolve) from those where
         // the client can pick the partition from inputs alone.
-        let traversal = if received.root().has_pivot_condition() {
+        let traversal = if profile.root().has_pivot_condition() {
             "PSC traversal needs pivots (queuer resolves the tree)"
         } else {
             "PSC traversal is input-only (client can pre-select the partition)"
         };
         println!(
-            "\n{name}: {} → {} bytes on the wire\n  class {}, {} partitions, {} pivots — {traversal}",
-            profile,
-            wire.len(),
-            received.class(),
-            received.partition_count(),
-            received.pivot_specs().len(),
+            "\n{name}: {profile}\n  class {}, {} partitions, {} pivots — {traversal}",
+            profile.class(),
+            profile.partition_count(),
+            profile.pivot_specs().len(),
         );
     }
 
