@@ -37,7 +37,7 @@
 //! key-set, the verdict of running it, the failed-transaction policy, the
 //! outcome fold — is decided in [`crate::sched`], which knows no threads
 //! and no clock. This module is the threaded *driver* of that core: it
-//! owns the worker pool and its barriers, the per-shard arena lock tables
+//! owns the worker pool and its barriers, the per-shard lock tables
 //! and the cross-shard exchange, the wall-clock stage timers, and the
 //! flight-recorder hooks — i.e. *when and where* each core function runs.
 //!
@@ -82,7 +82,7 @@ use prognosticator_symexec::TxClass;
 use prognosticator_txir::{Key, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -102,7 +102,7 @@ pub enum PrepareMode {
 pub enum FailedPolicy {
     /// Re-execute sequentially on the queuer, in client order (`SF`).
     SingleThread,
-    /// Re-prepare and re-enqueue into a fresh lock table, repeatedly
+    /// Re-prepare and re-run the failed in further rounds, repeatedly
     /// (`MF`).
     Reenqueue,
     /// Return to the client to be retried in a future batch (Calvin).
@@ -127,7 +127,7 @@ pub struct SchedulerConfig {
     /// on the caller and spawns no thread.
     pub workers: usize,
     /// Number of key-space shards the execution core is partitioned into.
-    /// Each shard owns a key-interned arena lock table; transactions are
+    /// Each shard builds its own lock table in round 1; transactions are
     /// routed at prepare time by their predicted read/write-set
     /// ([`crate::shard::ShardRouter`]). Outcomes and digests are a pure
     /// function of the committed log — byte-identical for every shard
@@ -221,8 +221,9 @@ pub struct StageTimings {
     /// previous batch's update phases (prepare-ahead overlap). Zero on the
     /// unpipelined path.
     pub overlap_ns: u64,
-    /// Fresh lock-queue allocations this batch (zero once the builder's
-    /// recycled pools cover the working set).
+    /// Always 0: lock-table queues are links in one per-table arena, so
+    /// there are no per-key queue allocations left to count. Kept because
+    /// the wall-clock benchmark still reports it.
     pub lock_fresh_allocs: u64,
     /// Wait episodes during the update phase: transitions from executing
     /// to spinning on empty ready queues, summed over every thread — the
@@ -426,9 +427,8 @@ struct BatchWork {
     rot_queues: Vec<SegQueue<TxIdx>>,
     prepare_queue: SegQueue<TxIdx>,
     /// Pooled round 1's per-shard lock tables, indexed by physical shard
-    /// (published at barrier (2), drained for recycling after barrier
-    /// (3)).
-    lock_tables: RwLock<Vec<Arc<LockTable>>>,
+    /// (published at barrier (2)).
+    lock_tables: OnceLock<Vec<LockTable>>,
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
@@ -534,7 +534,7 @@ impl Rounds {
         &mut self,
         work: &BatchWork,
         store: &EpochStore,
-        tables: &[Arc<LockTable>],
+        tables: &[LockTable],
     ) -> bool {
         if self.cross.is_empty() {
             return false;
@@ -789,8 +789,7 @@ pub struct Engine {
     /// Serializes [`Engine::execute`] calls.
     exec_lock: Mutex<()>,
     /// Long-lived per-shard lock-table builders, indexed by physical
-    /// shard; each shard's buffers are recycled across rounds and batches
-    /// and never migrate to another shard.
+    /// shard; kept across batches only so each key map keeps its capacity.
     builders: Mutex<Vec<LockTableBuilder>>,
     /// Key → shard routing oracle over the configured shard count.
     router: ShardRouter,
@@ -845,7 +844,7 @@ impl Engine {
             batches_executed: AtomicU64::new(0),
             exec_lock: Mutex::new(()),
             builders: Mutex::new(
-                (0..router.shards()).map(|s| LockTableBuilder::with_shard(s as u32)).collect(),
+                (0..router.shards()).map(|_| LockTableBuilder::new()).collect(),
             ),
             router,
             metrics: EngineMetrics::new(router.shards()),
@@ -957,10 +956,6 @@ impl Engine {
     ) -> BatchOutcome {
         let _exec = self.exec_lock.lock();
         let mut builders = self.builders.lock();
-        let fresh_queues = |builders: &[LockTableBuilder]| -> u64 {
-            builders.iter().map(|b| b.stats().fresh_queues).sum()
-        };
-        let fresh_queues_before = fresh_queues(&builders);
         let (work, mut rounds, mut outcome) = self.begin_batch(prepared);
         let config = self.config();
         loop {
@@ -983,20 +978,14 @@ impl Engine {
             let tables = if pooled {
                 self.build_tables(&work, &mut rounds, &mut builders, &mut outcome)
             } else {
-                Vec::new()
+                &[]
             };
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
             if pooled {
                 let duty = QueuerDuty { rounds: &mut rounds, next: next.as_deref_mut() };
-                drain(&work, 0, &self.store, &tables, config.ready_policy.as_ref(), Some(duty));
+                drain(&work, 0, &self.store, tables, config.ready_policy.as_ref(), Some(duty));
                 self.shared.barrier.wait(); // (3) update phase done; the workers leave
-                // Reclaim the buffers for the next batch (a table a fatal
-                // wind-down left in a worker's hands is dropped instead).
-                work.lock_tables.write().clear();
-                for table in tables.into_iter().filter_map(|t| Arc::try_unwrap(t).ok()) {
-                    builders[table.shard() as usize].recycle(table);
-                }
             } else {
                 // One drainer, no table: member order is a grant order of the
                 // per-key FIFO queues, and each transaction reads only keys it
@@ -1017,7 +1006,6 @@ impl Engine {
                 break;
             }
         }
-        outcome.stage.lock_fresh_allocs = fresh_queues(&builders) - fresh_queues_before;
         drop(builders);
         self.commit_epoch(&work, &rounds, &mut outcome);
         self.assemble_outcome(&work, &rounds, &mut outcome);
@@ -1048,7 +1036,7 @@ impl Engine {
             slots,
             rot_queues: (0..config.workers).map(|_| SegQueue::new()).collect(),
             prepare_queue: SegQueue::new(),
-            lock_tables: RwLock::new(Vec::new()),
+            lock_tables: OnceLock::new(),
             round_total: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             failed: Mutex::new(Vec::new()),
@@ -1097,13 +1085,13 @@ impl Engine {
     /// Phase 2 of a pooled round 1: routes and enqueues every member by its
     /// predicted key-set, freezes one lock table per shard and publishes
     /// the tables to the pool.
-    fn build_tables(
+    fn build_tables<'w>(
         &self,
-        work: &BatchWork,
+        work: &'w BatchWork,
         rounds: &mut Rounds,
         builders: &mut [LockTableBuilder],
         outcome: &mut BatchOutcome,
-    ) -> Vec<Arc<LockTable>> {
+    ) -> &'w [LockTable] {
         // Single-shard transactions enqueue locally on their owner;
         // cross-shard ones enqueue a foreign subset on every owner and
         // are resolved by the exchange.
@@ -1130,16 +1118,16 @@ impl Engine {
             };
             rounds.shard_queue_ns[home] += elapsed_ns(t_enq);
         }
-        let mut tables: Vec<Arc<LockTable>> = Vec::with_capacity(builders.len());
+        let mut tables = Vec::with_capacity(builders.len());
         for (s, b) in builders.iter_mut().enumerate() {
             let t_freeze = Instant::now();
-            let table = Arc::new(b.freeze(work.slots.len()));
+            let table = b.freeze(work.slots.len());
             rounds.shard_queue_ns[s] += elapsed_ns(t_freeze);
             outcome.stage.lock_contended_keys += table.contended_keys();
             tables.push(table);
         }
         work.round_total.store(rounds.members.len(), Ordering::Release);
-        *work.lock_tables.write() = tables.clone();
+        let tables = work.lock_tables.get_or_init(|| tables);
         self.shared.barrier.wait(); // (2) lock tables published
         tables
     }
@@ -1318,7 +1306,7 @@ fn drain(
     work: &BatchWork,
     id: usize,
     store: &EpochStore,
-    tables: &[Arc<LockTable>],
+    tables: &[LockTable],
     policy: &dyn ReadyPolicy,
     mut duty: Option<QueuerDuty<'_, '_>>,
 ) {
@@ -1399,12 +1387,8 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
         prepare_phase(&work, worker_id, store, config, Snapshot::Epoch(work.prepare_epoch));
         shared.barrier.wait(); // (1)
         shared.barrier.wait(); // (2) lock tables ready
-        let tables = work.lock_tables.read().clone();
-        debug_assert!(!tables.is_empty(), "lock tables published before phase 3");
-        drain(&work, worker_id, store, &tables, config.ready_policy.as_ref(), None);
-        // The table references are dropped before barrier (3), so the
-        // queuer can reclaim their buffers for the next batch.
-        drop(tables);
+        let tables = work.lock_tables.get().expect("lock tables published before phase 3");
+        drain(&work, worker_id, store, tables, config.ready_policy.as_ref(), None);
         shared.barrier.wait(); // (3) the worker leaves the batch
     }
 }

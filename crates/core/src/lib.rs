@@ -59,7 +59,7 @@ pub use engine::{
 pub use exec::{AccessScope, OpCounts, TxFailure};
 pub use faults::{AbortReason, ConsensusFault, FaultPlan};
 pub use locktable::{
-    BuilderStats, FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
+    FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
 };
 pub use replica::{LogRecord, RecoveryReport, Replica};
 pub use shard::{ShardRoute, ShardRouter};

@@ -4,7 +4,7 @@
 //! function of the agreed batch, the catalog, the seeded fault plan and
 //! the store state the caller presents. Two drivers walk a batch through
 //! these functions — the threaded [`crate::Engine`] (real workers, wall
-//! clock, arena lock tables) and the bench simulator (virtual clock, its
+//! clock, linked lock tables) and the bench simulator (virtual clock, its
 //! own per-key queues) — and differ only in *when* each call happens,
 //! never in what it decides:
 //!

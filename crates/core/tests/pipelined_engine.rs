@@ -62,28 +62,6 @@ fn split_prepare_execute_matches_execute_batch() {
 }
 
 #[test]
-fn lock_table_buffers_are_reused_across_batches() {
-    // First batch pays fresh lock-queue allocations; once the builder's
-    // arena and queue pool are warm, identical batch shapes must recycle
-    // everything (the per-batch allocation-reduction guarantee).
-    let (engine, bump) = engine_with_counters(2);
-    let first = engine.execute_batch(batch(bump, 16));
-    assert!(
-        first.stage.lock_fresh_allocs > 0,
-        "first batch should allocate fresh lock queues"
-    );
-    for round in 0..4 {
-        let out = engine.execute_batch(batch(bump, 16));
-        assert_eq!(
-            out.stage.lock_fresh_allocs, 0,
-            "warm batch {round} should recycle every lock queue"
-        );
-        assert_eq!(out.committed, 16);
-    }
-    engine.shutdown();
-}
-
-#[test]
 fn prepare_ahead_overlap_is_recorded() {
     // With depth 1, the queuer classifies batch N+1 inside batch N's
     // update phases and books that time as overlap. The value is

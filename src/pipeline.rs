@@ -667,7 +667,7 @@ impl Pipeline {
 
     /// Per-stage timers summed across every batch applied by every
     /// replica so far (predict/queue/execute/commit/apply, prepare-ahead
-    /// overlap, and fresh lock-queue allocations).
+    /// overlap, and the lock and shard counters).
     pub fn stage_totals(&self) -> &StageTimings {
         &self.stage_totals
     }

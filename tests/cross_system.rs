@@ -152,7 +152,7 @@ fn simulator_matches_threaded_engine_under_faults() {
 /// The schedule itself under tier-1: at {1, 4} shards, with and without
 /// an active fault plan, the engine must agree batch-for-batch with the
 /// simulator — whose per-key queues and ready-heap share no code with the
-/// engine's arena lock tables or its cross-shard exchange.
+/// engine's linked lock tables or its cross-shard exchange.
 #[test]
 fn simulator_matches_sharded_engine_with_and_without_faults() {
     let (catalog, workload) = tpcc();
