@@ -28,7 +28,13 @@
 //! chain that waking the pool cannot parallelize. A round with one
 //! drainer (every retry round, and round 1 when `workers = 1`) builds no
 //! lock table: it runs its members in member order, a grant order of the
-//! table it would build, so verdicts and outcomes are unchanged.
+//! table it would build, so verdicts and outcomes are unchanged. A retry
+//! round also prepares each member at its turn, not all at round start: a
+//! member replays its last walk's pivot reads against the round's starting
+//! values and fails without a walk or a run when a pivot the round-start
+//! walk reads has changed since the round began — the verdict re-preparing
+//! it at round start would reach (see [`sched::doomed`]). Any other member
+//! is walked from the round's starting values at its turn.
 //!
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
@@ -207,11 +213,15 @@ pub struct StageTimings {
     /// otherwise.
     pub predict_ns: u64,
     /// Lock-queue population: dependent-transaction preparation plus
-    /// lock-table build/publish (a tableless round: its `LockWait` events
-    /// while recording), summed over scheduling rounds.
+    /// lock-table build/publish (round 1 without a table: its `LockWait`
+    /// events while recording), summed over scheduling rounds. A retry
+    /// round charges here only the members it prepares at round start
+    /// (those its profile does not walk).
     pub queue_ns: u64,
     /// Update phase (draining the ready queues, or a tableless round's
     /// in-order run) plus failed handling, summed over scheduling rounds.
+    /// A retry round's member loop is charged here whole: its replay
+    /// checks, re-walks and `LockWait` events as well as its runs.
     pub execute_ns: u64,
     /// Epoch advance + store garbage collection.
     pub commit_ns: u64,
@@ -316,9 +326,12 @@ pub struct BatchOutcome {
     /// Per-committed-transaction latency from execution start, nanoseconds.
     pub latencies_ns: Vec<u64>,
     /// Total time spent preparing dependent transactions, and how many
-    /// preparations ran (Fig. 5b's "prepare" component).
+    /// preparations ran (Fig. 5b's "prepare" component). Only real walks
+    /// and reconnaissance runs count: a retry-round member doomed by
+    /// replaying its pivot reads adds nothing.
     pub prepare_ns_total: u64,
-    /// Number of preparation operations.
+    /// Number of preparation operations (walks, not member-rounds; see
+    /// `prepare_ns_total`).
     pub prepare_count: u64,
     /// Total first-failure→commit time over re-executed transactions
     /// (Fig. 5b's "re-execute failed" component).
@@ -432,8 +445,8 @@ struct BatchWork {
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
-    /// Epoch DT preparation reads from in round 1 (retry rounds read live
-    /// state).
+    /// Epoch DT preparation reads from in round 1 (retry rounds read the
+    /// round's starting state).
     prepare_epoch: u64,
     /// Epoch ROTs read from.
     snapshot_epoch: u64,
@@ -680,29 +693,42 @@ fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     }
 }
 
-/// While recording, records a round's lock-queue structure as `LockWait`
+/// While recording, records round 1's lock-queue structure as `LockWait`
 /// events: with per-key FIFO queues filled in member order (as a lock
 /// table is, built or not), each member waits on each distinct key of its
-/// key-set at depth = the number of earlier members locking that key.
+/// key-set at depth = the number of earlier members locking that key. A
+/// retry round records the same events member by member
+/// ([`run_retry_round`]).
 fn note_waiters(work: &BatchWork, members: &[TxIdx]) {
     let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) else { return };
-    let batch = work.batch_index;
     let mut queued: HashMap<Key, u64> = HashMap::new();
     for &i in members {
         let slot = &work.slots[i as usize];
         let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
-        for (n, key) in keys.iter().enumerate() {
-            if keys[..n].contains(key) {
-                continue;
-            }
-            let depth = queued.entry(key.clone()).or_insert(0);
-            if *depth > 0 {
-                let (tx, depth) = (u64::from(i), *depth);
-                let (shard, key) = (ShardRouter::fingerprint(key), key_fingerprint(key));
-                rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
-            }
-            *depth += 1;
+        note_waits(rec, work.batch_index, &mut queued, i, &keys);
+    }
+}
+
+/// Records member `i`'s `LockWait` events (see [`note_waiters`]); `queued`
+/// counts the round's earlier members locking each key.
+fn note_waits(
+    rec: &FlightRecorder,
+    batch: u64,
+    queued: &mut HashMap<Key, u64>,
+    i: TxIdx,
+    keys: &[Key],
+) {
+    for (n, key) in keys.iter().enumerate() {
+        if keys[..n].contains(key) {
+            continue;
         }
+        let depth = queued.entry(key.clone()).or_insert(0);
+        if *depth > 0 {
+            let (tx, depth) = (u64::from(i), *depth);
+            let (shard, key) = (ShardRouter::fingerprint(key), key_fingerprint(key));
+            rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
+        }
+        *depth += 1;
     }
 }
 
@@ -974,7 +1000,9 @@ impl Engine {
             // verdict is already final, so they are excluded here; the
             // exclusion is deterministic because abort decisions are.
             rounds.members.retain(|&i| work.slots[i as usize].state.lock().aborted.is_none());
-            note_waiters(&work, &rounds.members);
+            if first {
+                note_waiters(&work, &rounds.members);
+            }
             let tables = if pooled {
                 self.build_tables(&work, &mut rounds, &mut builders, &mut outcome)
             } else {
@@ -986,11 +1014,11 @@ impl Engine {
                 let duty = QueuerDuty { rounds: &mut rounds, next: next.as_deref_mut() };
                 drain(&work, 0, &self.store, tables, config.ready_policy.as_ref(), Some(duty));
                 self.shared.barrier.wait(); // (3) update phase done; the workers leave
-            } else {
+            } else if first {
                 // One drainer, no table: member order is a grant order of the
                 // per-key FIFO queues, and each transaction reads only keys it
                 // locks, so it reads what a table would give it.
-                let mut next = next.as_deref_mut().filter(|_| first);
+                let mut next = next.as_deref_mut();
                 run_guarded(&work, || {
                     for &i in &rounds.members {
                         if let Some(next) = next.as_deref_mut() {
@@ -999,6 +1027,8 @@ impl Engine {
                         work.run_granted(i, &self.store, None, || {});
                     }
                 });
+            } else {
+                run_retry_round(&work, &self.store, config.prepare, &rounds.members);
             }
             let done = self.finish_round(&work, &mut rounds, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
@@ -1163,11 +1193,16 @@ impl Engine {
                     run_slot(work, i, &self.store, RunMode::Serial);
                 }
             }),
-            // The next round re-prepares them against the live state.
+            // A member its profile walks keeps its prediction for the next
+            // round to replay (see `run_retry_round`); the others are
+            // re-prepared against the live state at the next round's start.
             RoundAction::Reenqueue => {
                 for &i in &failed {
-                    work.slots[i as usize].state.lock().prediction = None;
-                    work.prepare_queue.push(i);
+                    let slot = &work.slots[i as usize];
+                    if sched::walked_profile(&slot.tx, config.prepare).is_none() {
+                        slot.state.lock().prediction = None;
+                        work.prepare_queue.push(i);
+                    }
                 }
                 rounds.members = failed;
             }
@@ -1286,6 +1321,59 @@ fn prepare_phase(
                 work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
                 work.prepare_count.fetch_add(1, Ordering::Relaxed);
             }
+        }
+    });
+}
+
+/// The update phase of an `MF` retry round, on the queuer alone: runs the
+/// members in member order, preparing each at its turn.
+///
+/// A member its profile walks still holds its last prediction and replays
+/// that walk's pivot reads against the round's starting values
+/// ([`sched::doomed`]). If a pivot the round-start walk reads has changed
+/// since the round began, it is doomed: validation would fail it, so it
+/// fails without a walk or a run. Otherwise it is walked from the round's
+/// starting values and runs. No member of a retry round had an injected fault (that fires at its
+/// first locked run, in round 1), so none would have aborted instead. Only
+/// a recorder needs a doomed member's round-start key-set, for its
+/// `LockWait` events, so only while recording is it walked and run as
+/// before. Other members were prepared at round start by [`prepare_phase`].
+fn run_retry_round(work: &BatchWork, store: &EpochStore, mode: PrepareMode, members: &[TxIdx]) {
+    let recorder = work.hooks.recorder.as_deref().filter(|rec| rec.is_enabled());
+    // The round-start value of every key that a member run so far locked.
+    // Writes stay inside the writer's key-set, so every other key still
+    // holds its round-start value.
+    let mut start: HashMap<Key, Value> = HashMap::new();
+    let mut queued: HashMap<Key, u64> = HashMap::new();
+    run_guarded(work, || {
+        for &i in members {
+            let slot = &work.slots[i as usize];
+            let mut state = slot.state.lock();
+            debug_assert!(slot.tx.table_scope.is_none(), "table-scoped members never fail");
+            if let Some(profile) = sched::walked_profile(&slot.tx, mode) {
+                let last = state.prediction.as_ref().expect("a failed member keeps its prediction");
+                if recorder.is_none() && sched::doomed(last, &start, store) {
+                    work.failed.lock().push(i);
+                    continue;
+                }
+                let t0 = Instant::now();
+                let read = |k: &Key| sched::round_start_value(&start, store, k);
+                state.prediction = Some(sched::walk(profile, &slot.tx, read));
+                work.prepare_ns.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
+                work.prepare_count.fetch_add(1, Ordering::Relaxed);
+            }
+            let prediction = state.prediction.as_ref().expect("prepared before its turn");
+            for key in prediction.reads.iter().chain(&prediction.writes) {
+                if !start.contains_key(key) {
+                    start.insert(key.clone(), store.get_latest(key).unwrap_or(Value::Unit));
+                }
+            }
+            if let Some(rec) = recorder {
+                let keys = sched::lock_keys(&slot.tx, &state);
+                note_waits(rec, work.batch_index, &mut queued, i, &keys);
+            }
+            drop(state);
+            work.run_granted(i, store, None, || {});
         }
     });
 }

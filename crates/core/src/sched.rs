@@ -12,6 +12,8 @@
 //! * [`prepare`] — dependent-transaction key-set from the profile's
 //!   pivots or from reconnaissance;
 //! * [`lock_keys`] — the keys a prepared transaction enqueues on;
+//! * [`doomed`] — whether a retry-round member's last pivot reads doom
+//!   it before it is walked;
 //! * [`run_tx`] — run one transaction: fault replay/injection, panic
 //!   containment, and the commit / deterministic-abort / retry verdict;
 //! * [`after_round`] — the failed-transaction policy (`SF`/`MF`/Calvin);
@@ -28,6 +30,7 @@ use crate::locktable::TxIdx;
 use prognosticator_storage::EpochStore;
 use prognosticator_symexec::{PredictError, Prediction, Profile, TxClass};
 use prognosticator_txir::{Key, Program, Value};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 pub use crate::exec::Snapshot;
@@ -147,11 +150,7 @@ pub fn prepare(
     mode: PrepareMode,
     snapshot: Snapshot,
 ) -> OpCounts {
-    let profile = match mode {
-        PrepareMode::Profile => tx.profile.as_ref().filter(|p| p.class() != TxClass::ReadOnly),
-        PrepareMode::Reconnaissance => None,
-    };
-    let Some(profile) = profile else {
+    let Some(profile) = walked_profile(tx, mode) else {
         let (result, ops) = exec::reconnoiter(store, &tx.program, &tx.req.inputs, snapshot);
         match result {
             Ok(prediction) => state.prediction = Some(prediction),
@@ -161,19 +160,73 @@ pub fn prepare(
         return ops;
     };
     let mut ops = OpCounts::default();
-    let mut resolver = |k: &Key| -> Value {
+    let prediction = walk(profile, tx, |k| {
         ops.pivot_reads += 1;
         let v = match snapshot {
             Snapshot::Epoch(e) => store.get_at(k, e),
             Snapshot::Live => store.get_latest(k),
         };
         v.unwrap_or(Value::Unit)
-    };
-    let prediction = profile
-        .predict(&tx.req.inputs, Some(&mut resolver))
-        .expect("profile prediction with resolver cannot need more");
+    });
     state.prediction = Some(prediction);
     ops
+}
+
+/// The profile [`prepare`] walks for `tx` in `mode`; `None` when it
+/// reconnoiters instead.
+pub fn walked_profile(tx: &Tx, mode: PrepareMode) -> Option<&Profile> {
+    match mode {
+        PrepareMode::Profile => tx.profile.as_deref().filter(|p| p.class() != TxClass::ReadOnly),
+        PrepareMode::Reconnaissance => None,
+    }
+}
+
+/// Walks `profile` for `tx`'s inputs, reading each pivot through `read`.
+///
+/// # Panics
+/// See [`prepare`].
+pub fn walk(profile: &Profile, tx: &Tx, mut read: impl FnMut(&Key) -> Value) -> Prediction {
+    profile
+        .predict(&tx.req.inputs, Some(&mut read))
+        .expect("profile prediction with resolver cannot need more")
+}
+
+/// The value `key` held when the current retry round began: its entry in
+/// `start`, which holds every key a member of the round has locked so far,
+/// or else its current value, since writes stay inside the writer's
+/// key-set.
+pub fn round_start_value(start: &HashMap<Key, Value>, store: &EpochStore, key: &Key) -> Value {
+    match start.get(key) {
+        Some(v) => v.clone(),
+        None => store.get_latest(key).unwrap_or(Value::Unit),
+    }
+}
+
+/// Whether preparing a retry-round member at round start would doom it,
+/// decided without walking. `last` is the member's last profile walk and
+/// `start` as in [`round_start_value`].
+///
+/// A walk reads pivots in order, each pivot's key a function of the inputs
+/// and the values read before it, and `last.pivot_observations` lists its
+/// reads in that order. So while the round-start values equal `last`'s
+/// observations, the round-start walk reads the same keys. At the first
+/// observed key whose round-start value differs from its current value,
+/// that walk has recorded the round-start value, and validation now fails:
+/// doomed. At the first whose round-start value differs from the observed
+/// one, the walks part and nothing further is known: not doomed, and the
+/// member is walked.
+pub fn doomed(last: &Prediction, start: &HashMap<Key, Value>, store: &EpochStore) -> bool {
+    for (key, observed) in &last.pivot_observations {
+        let current = store.get_latest(key).unwrap_or(Value::Unit);
+        let at_start = start.get(key).unwrap_or(&current);
+        if *at_start != current {
+            return true;
+        }
+        if at_start != observed {
+            return false;
+        }
+    }
+    false
 }
 
 /// The keys a prepared transaction enqueues on in the lock table.
@@ -369,6 +422,59 @@ pub fn fold_tx(outcome: &mut BatchOutcome, state: &mut TxState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prognosticator_txir::TableId;
+
+    fn k(i: i64) -> Key {
+        Key::of_ints(TableId(0), &[i])
+    }
+
+    fn int_pairs(pairs: &[(i64, i64)]) -> Vec<(Key, Value)> {
+        pairs.iter().map(|&(key, v)| (k(key), Value::Int(v))).collect()
+    }
+
+    /// A last prediction that observed `pairs`, in that order.
+    fn observed(pairs: &[(i64, i64)]) -> Prediction {
+        Prediction { pivot_observations: int_pairs(pairs), ..Prediction::default() }
+    }
+
+    /// A store holding `current`, and the round-start values of the keys
+    /// locked so far in the round.
+    fn round(current: &[(i64, i64)], start: &[(i64, i64)]) -> (EpochStore, HashMap<Key, Value>) {
+        let store = EpochStore::new();
+        store.populate(int_pairs(current));
+        (store, int_pairs(start).into_iter().collect())
+    }
+
+    #[test]
+    fn doomed_at_the_first_pivot_changed_this_round() {
+        // Key 1 went 5 → 6 this round, and every walk reads it first.
+        let (store, start) = round(&[(1, 6), (2, 0)], &[(1, 5)]);
+        assert_eq!(round_start_value(&start, &store, &k(1)), Value::Int(5));
+        assert_eq!(round_start_value(&start, &store, &k(2)), Value::Int(0));
+        assert!(doomed(&observed(&[(1, 5), (2, 0)]), &start, &store));
+        assert!(doomed(&observed(&[(1, 4)]), &start, &store));
+        // Only the second pivot changed this round.
+        let (store, start) = round(&[(1, 5), (2, 7)], &[(1, 5), (2, 3)]);
+        assert!(doomed(&observed(&[(1, 5), (2, 3)]), &start, &store));
+    }
+
+    #[test]
+    fn not_doomed_where_the_round_start_walk_parts_or_nothing_changed() {
+        // Key 1 changed before the round began and not since.
+        let (store, start) = round(&[(1, 6), (2, 9)], &[]);
+        assert!(!doomed(&observed(&[(1, 5), (2, 9)]), &start, &store));
+        // Past that point the round-start walk may read other keys, so a
+        // later pivot changed this round decides nothing.
+        let (store, start) = round(&[(1, 6), (2, 9)], &[(2, 8)]);
+        assert!(!doomed(&observed(&[(1, 5), (2, 8)]), &start, &store));
+        // Key 1 was written this round and written back (ABA); key 2 was
+        // overwritten with the value it held.
+        let (store, start) = round(&[(1, 5), (2, 9)], &[(1, 5), (2, 9)]);
+        assert!(!doomed(&observed(&[(1, 5), (2, 9)]), &start, &store));
+        let (store, start) = round(&[(1, 5)], &[]);
+        assert!(!doomed(&observed(&[(1, 5)]), &start, &store));
+        assert!(!doomed(&Prediction::default(), &start, &store));
+    }
 
     #[test]
     fn after_round_enacts_each_policy() {
