@@ -14,11 +14,15 @@
 //! reproducible, and independent of the host's core count — the
 //! substitution DESIGN.md §2 documents for the missing 20-core testbed.
 //!
-//! What the simulator keeps to itself is what genuinely differs from the
-//! engine: the cost model, the virtual clocks, and its own per-key FIFO
-//! queues and ready-heap. It shares no lock-table code with the engine,
-//! so it stays the independent reference for *grant order and round
-//! membership* in the engine≡simulator differential suites.
+//! Each round drains the same conflict plan the engine's lock table is
+//! frozen from ([`sched::plan`]). What the simulator keeps to itself is
+//! what genuinely differs from the engine: the cost model, the virtual
+//! clocks and a ready-heap. It shares the plan but not the engine's
+//! driver — routing, ready queues, lone drainer, doom checks — so it stays the
+//! reference for *round membership* in the engine≡simulator differential
+//! suites. Grant order itself is checked against the plan's independent
+//! per-key FIFO model (`locktable_props`) and golden's pinned virtual
+//! makespans.
 //!
 //! All simulated durations are in nanoseconds of virtual time; a
 //! [`BatchOutcome`]'s `duration` is the virtual batch makespan.
@@ -29,9 +33,8 @@ use prognosticator_core::{
     BatchOutcome, Catalog, FaultPlan, OpCounts, SchedulerConfig, TxClass, TxRequest,
 };
 use prognosticator_storage::EpochStore;
-use prognosticator_txir::Key;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -230,10 +233,10 @@ impl SimReplica {
     }
 
     /// One round's build and update phases over `members`, starting at
-    /// virtual time `start`: the simulator's own scheduler — per-key FIFO
-    /// queues in member order and a discrete-event loop over a ready-heap
-    /// and the workers' clocks. Returns the failed transactions in client
-    /// order and the time the update barrier is crossed.
+    /// virtual time `start`: the round's [`sched::plan`] drained by a
+    /// discrete-event loop over a ready-heap and the workers' clocks.
+    /// Returns the failed transactions in client order and the time the
+    /// update barrier is crossed.
     fn run_round(
         &self,
         txs: &mut [(Tx, TxState)],
@@ -243,56 +246,27 @@ impl SimReplica {
         outcome: &mut BatchOutcome,
     ) -> (Vec<usize>, u64) {
         let cost = &self.cost;
-        // Build phase (queuer, serial).
-        let mut key_queues: HashMap<Key, Vec<usize>> = HashMap::new();
-        let mut key_count = 0u64;
-        let mut lock_keys: Vec<Vec<Key>> = Vec::with_capacity(members.len());
-        for &i in members {
-            let keys = sched::lock_keys(&txs[i].0, &txs[i].1);
-            key_count += keys.len() as u64;
-            for k in &keys {
-                key_queues.entry(k.clone()).or_default().push(i);
-            }
-            lock_keys.push(keys);
-        }
-        let mut clock = start + key_count * cost.lock_op_ns + cost.sync_ns;
-        outcome.stage.queue_ns += key_count * cost.lock_op_ns + cost.sync_ns;
-        // Contended keys this round: queues holding more than one
-        // transaction — the same pure-structural count the engine's
-        // frozen lock table reports.
-        outcome.stage.lock_contended_keys +=
-            key_queues.values().filter(|q| q.len() > 1).count() as u64;
+        // Build phase (queuer, serial): one lock op per plan entry.
+        let plan = sched::plan(members.iter().map(|&i| sched::lock_keys(&txs[i].0, &txs[i].1)));
+        let entries: usize = (0..plan.len()).map(|m| plan.entries(m).len()).sum();
+        let build_ns = entries as u64 * cost.lock_op_ns + cost.sync_ns;
+        let clock = start + build_ns;
+        outcome.stage.queue_ns += build_ns;
+        outcome.stage.lock_contended_keys += plan.contended_keys();
 
-        // Update phase: discrete-event loop.
-        let update_start = clock;
-        let member_pos: HashMap<usize, usize> =
-            members.iter().enumerate().map(|(pos, &i)| (i, pos)).collect();
-        let mut remaining: HashMap<usize, usize> =
-            members.iter().map(|&i| (i, lock_keys[member_pos[&i]].len())).collect();
-        let mut cursor: HashMap<&Key, usize> = HashMap::new();
-        // Min-heap of (ready time, tx index): the moment a tx reached
-        // the head of all its queues.
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (k, q) in &key_queues {
-            let head = q[0];
-            let r = remaining.get_mut(&head).expect("member");
-            *r -= 1;
-            if *r == 0 {
-                ready.push(Reverse((clock, head)));
-            }
-            cursor.insert(k, 0usize);
-        }
-        for (&i, &r) in &remaining {
-            if r == 0 && lock_keys[member_pos[&i]].is_empty() {
-                ready.push(Reverse((clock, i)));
-            }
-        }
+        // Update phase: discrete-event loop. A min-heap of (ready time, tx
+        // index, member): the moment a member reached the head of all its
+        // queues, ties broken by index (determinism).
+        let mut remaining: Vec<u32> = (0..plan.len()).map(|m| plan.preds(m)).collect();
+        let mut ready: BinaryHeap<Reverse<(u64, usize, usize)>> = (remaining.iter().enumerate())
+            .filter(|&(_, &preds)| preds == 0)
+            .map(|(m, _)| Reverse((clock, members[m], m)))
+            .collect();
         let mut workers: Vec<u64> = vec![clock; cost.workers];
         let mut failed: Vec<usize> = Vec::new();
         let mut phase_end = clock;
         for _ in 0..members.len() {
-            // Earliest-ready transaction; ties by index (determinism).
-            let Reverse((ready_at, i)) = ready.pop().expect("liveness: a ready tx exists");
+            let Reverse((ready_at, i, m)) = ready.pop().expect("liveness: a ready tx exists");
             let w = earliest(&workers);
             let begin = workers[w].max(ready_at);
             // Virtual wait episode: the earliest-free worker sat idle
@@ -320,22 +294,16 @@ impl SimReplica {
             }
             // Release locks: successors whose queues all reached them
             // become ready at `finish`.
-            for k in &lock_keys[member_pos[&i]] {
-                let q = &key_queues[k];
-                let c = cursor.get_mut(k as &Key).expect("cursor");
-                debug_assert_eq!(q[*c], i);
-                *c += 1;
-                if let Some(&succ) = q.get(*c) {
-                    let r = remaining.get_mut(&succ).expect("member");
-                    *r -= 1;
-                    if *r == 0 {
-                        ready.push(Reverse((finish, succ)));
-                    }
+            for entry in plan.entries(m).iter().filter(|e| e.next != sched::NO_NEXT) {
+                let succ = entry.next as usize;
+                remaining[succ] -= 1;
+                if remaining[succ] == 0 {
+                    ready.push(Reverse((finish, members[succ], succ)));
                 }
             }
         }
-        clock = phase_end + cost.sync_ns;
-        outcome.stage.execute_ns += clock - update_start;
+        let clock = phase_end + cost.sync_ns;
+        outcome.stage.execute_ns += clock - (start + build_ns);
         failed.sort_unstable();
         (failed, clock)
     }

@@ -9,18 +9,18 @@
 //!    transaction queue against the pre-batch snapshot (lock-less); the
 //!    queuer then *prepares indirect keys* for dependent transactions,
 //!    helped by the workers in `MQ` mode;
-//! 2. **build** — the queuer populates the lock table, dependent
-//!    transactions ahead of independent ones;
-//! 3. **update** — every thread drains the ready queues in one loop,
-//!    the queuer's pass also serving the cross-shard exchange; dependent
-//!    transactions validate their pivots first and abort (without side
-//!    effects) if stale;
+//! 2. **build** — the queuer plans the round's lock queues
+//!    ([`sched::plan`]), dependent transactions ahead of independent ones,
+//!    and freezes them into one lock table;
+//! 3. **update** — every thread drains the shards' ready queues in one
+//!    loop; dependent transactions validate their pivots first and abort
+//!    (without side effects) if stale;
 //! 4. **failed handling** — single-threaded re-execution in client order
 //!    (`SF`), deterministic re-prepare + re-run rounds (`MF`), or
 //!    hand-back to the client for a future batch (the Calvin baseline).
 //!
 //! The threads meet at three barriers of `workers` parties per batch —
-//! (1) prepare done, (2) lock tables published, (3) update phase done —
+//! (1) prepare done, (2) lock table published, (3) update phase done —
 //! and the workers leave after (3); with `workers = 1` there is no pool at
 //! all. Every later step runs on the queuer alone, `MF`'s retry rounds
 //! included: the paper's `SF` rule ("re-execute the failed serially")
@@ -43,8 +43,8 @@
 //! key-set, the verdict of running it, the failed-transaction policy, the
 //! outcome fold — is decided in [`crate::sched`], which knows no threads
 //! and no clock. This module is the threaded *driver* of that core: it
-//! owns the worker pool and its barriers, the per-shard lock tables
-//! and the cross-shard exchange, the wall-clock stage timers, and the
+//! owns the worker pool and its barriers, the round-1 lock table with its
+//! shard ready queues, the wall-clock stage timers, and the
 //! flight-recorder hooks — i.e. *when and where* each core function runs.
 //!
 //! **Staged lifecycle.** Batch processing is split into two explicit
@@ -76,8 +76,10 @@
 use crate::catalog::{Catalog, TxRequest};
 use crate::exec::AccessLog;
 use crate::faults::{AbortReason, FaultPlan};
-use crate::locktable::{FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, TxIdx};
-use crate::sched::{self, panic_message, RoundAction, RunMode, Snapshot, Tx, TxState, TxStatus};
+use crate::locktable::{FifoPolicy, LockTable, ReadyPolicy, TxIdx};
+use crate::sched::{
+    self, panic_message, PlanBuilder, RoundAction, RunMode, Snapshot, Tx, TxState, TxStatus,
+};
 use crate::shard::ShardRouter;
 use crossbeam::queue::SegQueue;
 use crossbeam::utils::Backoff;
@@ -133,11 +135,12 @@ pub struct SchedulerConfig {
     /// on the caller and spawns no thread.
     pub workers: usize,
     /// Number of key-space shards the execution core is partitioned into.
-    /// Each shard builds its own lock table in round 1; transactions are
-    /// routed at prepare time by their predicted read/write-set
-    /// ([`crate::shard::ShardRouter`]). Outcomes and digests are a pure
-    /// function of the committed log — byte-identical for every shard
-    /// count (see DESIGN.md §3.5).
+    /// Round 1's one lock table has a ready queue per shard; each member
+    /// is routed by its predicted read/write-set
+    /// ([`crate::shard::ShardRouter`]) to its home shard's queue, the
+    /// lowest of the shards that own it. Outcomes and digests are
+    /// a pure function of the committed log — byte-identical for every
+    /// shard count (see DESIGN.md §3.5).
     pub shards: usize,
     /// Key-set acquisition strategy.
     pub prepare: PrepareMode,
@@ -212,16 +215,17 @@ pub struct StageTimings {
     /// previous batch's update phases under prepare-ahead, in one piece
     /// otherwise.
     pub predict_ns: u64,
-    /// Lock-queue population: dependent-transaction preparation plus
-    /// lock-table build/publish (round 1 without a table: its `LockWait`
-    /// events while recording), summed over scheduling rounds. A retry
-    /// round charges here only the members it prepares at round start
-    /// (those its profile does not walk).
+    /// Lock-queue population: dependent-transaction preparation plus, in
+    /// pooled round 1, planning, routing, freezing and publishing the lock
+    /// table (and its `LockWait` events while recording), summed over
+    /// scheduling rounds. A retry round charges here only the members it
+    /// prepares at round start (those its profile does not walk).
     pub queue_ns: u64,
     /// Update phase (draining the ready queues, or a tableless round's
     /// in-order run) plus failed handling, summed over scheduling rounds.
-    /// A retry round's member loop is charged here whole: its replay
-    /// checks, re-walks and `LockWait` events as well as its runs.
+    /// A round without a table is charged here whole: a retry round's
+    /// replay checks and re-walks, and any round's `LockWait` events, as
+    /// well as its runs.
     pub execute_ns: u64,
     /// Epoch advance + store garbage collection.
     pub commit_ns: u64,
@@ -251,8 +255,8 @@ pub struct StageTimings {
     /// the one round that routes. Deterministic for a given shard count
     /// (metrics only: the value differs *across* shard counts).
     pub single_shard_txs: u64,
-    /// Update transactions spanning several shards, resolved by the
-    /// queuer's deterministic barrier exchange. See `single_shard_txs`.
+    /// Update transactions spanning several shards in pooled round 1,
+    /// routed to their home shard like the rest. See `single_shard_txs`.
     pub cross_shard_txs: u64,
 }
 
@@ -292,17 +296,14 @@ impl StageTimings {
     }
 }
 
-/// Per-shard queue/execute wall-clock split of pooled round 1 (no other
-/// round has shards), indexed by physical shard. Wall-clock-dependent —
-/// metrics only, never compared by the determinism oracles.
+/// Per-shard execute wall-clock time of pooled round 1 (no other round
+/// has shards), indexed by physical shard. Wall-clock-dependent — metrics
+/// only, never compared by the determinism oracles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStageTimings {
-    /// Lock-queue population charged to this shard: enqueue time of the
-    /// transactions it is home to, plus its builder's freeze time.
-    pub queue_ns: u64,
     /// Execution time of the transactions popped from this shard's ready
-    /// queue (cross-shard transactions are charged to their home — i.e.
-    /// lowest-owner — shard), summed over workers.
+    /// queue (a cross-shard transaction's is its home — i.e. lowest-owner
+    /// — shard), summed over workers.
     pub execute_ns: u64,
 }
 
@@ -342,8 +343,8 @@ pub struct BatchOutcome {
     pub duration: Duration,
     /// Per-stage timers and counters (see [`StageTimings`]).
     pub stage: StageTimings,
-    /// Per-shard queue/execute split, indexed by physical shard (length =
-    /// the engine's configured shard count; empty from the simulator).
+    /// Per-shard execute time, indexed by physical shard (length = the
+    /// engine's configured shard count; empty from the simulator).
     pub shard_stage: Vec<ShardStageTimings>,
     /// Keys the committed update transactions' predictions locked,
     /// summed. Deterministic: a pure function of the batch contents.
@@ -439,9 +440,8 @@ struct BatchWork {
     slots: Vec<TxSlot>,
     rot_queues: Vec<SegQueue<TxIdx>>,
     prepare_queue: SegQueue<TxIdx>,
-    /// Pooled round 1's per-shard lock tables, indexed by physical shard
-    /// (published at barrier (2)).
-    lock_tables: OnceLock<Vec<LockTable>>,
+    /// Pooled round 1's lock table (published at barrier (2)).
+    round1: OnceLock<Round1>,
     round_total: AtomicUsize,
     completed: AtomicUsize,
     failed: Mutex<Vec<TxIdx>>,
@@ -462,8 +462,7 @@ struct BatchWork {
     lock_waits: AtomicU64,
     /// Per-shard execute-time accumulators, indexed by physical shard.
     /// Each thread charges a popped transaction's execution to the shard
-    /// it was popped from; the exchange charges cross-shard transactions
-    /// to their home shard. Wall-clock-dependent; metrics only.
+    /// it was popped from. Wall-clock-dependent; metrics only.
     shard_exec_ns: Vec<AtomicU64>,
     /// Set when a thread panics *outside* any per-transaction scope (an
     /// engine bug or a catalog/profile mismatch — not attributable to one
@@ -514,73 +513,21 @@ impl BatchWork {
     }
 }
 
-/// The queuer's private bookkeeping for a batch in flight. Only the
-/// queuer touches it (it alone drains the foreign-ready queues), so no
-/// atomics are needed.
+/// The queuer's private bookkeeping for a batch in flight.
 struct Rounds {
     /// The coming round's candidates: every update transaction in round
     /// 1 (DTs ahead of ITs, §III-C), the previous round's failures after.
     members: Vec<TxIdx>,
-    /// Pooled round 1's cross-shard members.
-    cross: Vec<TxIdx>,
-    /// Per batch position: owner shards that have not yet signalled the
-    /// transaction ready, and the ascending owner list.
-    cross_wait: Vec<u32>,
-    cross_owners: Vec<Vec<usize>>,
-    /// Per-shard queue-time accumulators (wall clock; metrics only).
-    shard_queue_ns: Vec<u64>,
     /// The store latency to restore after a storage-spike batch.
     prior_latency: Option<LatencyConfig>,
 }
 
-impl Rounds {
-    /// One pass of the cross-shard exchange. A cross-shard transaction
-    /// becomes executable only once every owner shard has signalled it
-    /// ready (it is at the head of all its per-key queues — exactly the
-    /// global lock-order condition); the pass collects every table's
-    /// signals, then runs the members now ready on all their owners in
-    /// ascending batch position, releasing slots in ascending shard order.
-    /// That fixed shard-major merge keeps the committed outcome a pure
-    /// function of the batch, never of thread interleaving or shard count.
-    /// Returns whether any signal arrived.
-    fn exchange_pass(
-        &mut self,
-        work: &BatchWork,
-        store: &EpochStore,
-        tables: &[LockTable],
-    ) -> bool {
-        if self.cross.is_empty() {
-            return false;
-        }
-        let mut progress = false;
-        let mut ready_cross: Vec<TxIdx> = Vec::new();
-        for table in tables {
-            while let Some(i) = table.pop_foreign_ready() {
-                progress = true;
-                self.cross_wait[i as usize] -= 1;
-                if self.cross_wait[i as usize] == 0 {
-                    ready_cross.push(i);
-                }
-            }
-        }
-        ready_cross.sort_unstable();
-        for i in ready_cross {
-            let owners = &self.cross_owners[i as usize];
-            work.run_granted(i, store, Some(owners[0]), || {
-                for &s in owners {
-                    tables[s].release(i);
-                }
-            });
-        }
-        progress
-    }
-}
-
-/// The queuer's share of [`drain`] beyond executing: the cross-shard
-/// exchange and classifying the next batch.
-struct QueuerDuty<'a, 'c> {
-    rounds: &'a mut Rounds,
-    next: Option<&'a mut Classifier<'c>>,
+/// Pooled round 1's lock table, which names each member by its position
+/// in `members`.
+struct Round1 {
+    table: LockTable,
+    /// The round's members (batch positions), in member order.
+    members: Vec<TxIdx>,
 }
 
 /// Runs `f`, converting a panic into the batch-fatal flag so every thread
@@ -617,8 +564,7 @@ struct EngineMetrics {
     cross_shard_txs: Arc<Counter>,
     batch_queue_us: Arc<Histogram>,
     batch_execute_us: Arc<Histogram>,
-    /// Per-shard stage histograms, indexed by physical shard.
-    shard_queue_us: Vec<Arc<Histogram>>,
+    /// Per-shard execute histograms, indexed by physical shard.
     shard_execute_us: Vec<Arc<Histogram>>,
 }
 
@@ -635,9 +581,6 @@ impl EngineMetrics {
             cross_shard_txs: r.counter("engine.cross_shard_txs"),
             batch_queue_us: r.histogram("engine.batch_queue_us"),
             batch_execute_us: r.histogram("engine.batch_execute_us"),
-            shard_queue_us: (0..shards)
-                .map(|s| r.histogram(&format!("engine.shard{s}.queue_us")))
-                .collect(),
             shard_execute_us: (0..shards)
                 .map(|s| r.histogram(&format!("engine.shard{s}.execute_us")))
                 .collect(),
@@ -655,7 +598,6 @@ impl EngineMetrics {
         self.single_shard_txs.add(outcome.stage.single_shard_txs);
         self.cross_shard_txs.add(outcome.stage.cross_shard_txs);
         for (s, st) in outcome.shard_stage.iter().enumerate() {
-            self.shard_queue_us[s].record(st.queue_ns / 1_000);
             self.shard_execute_us[s].record(st.execute_ns / 1_000);
         }
     }
@@ -693,43 +635,27 @@ fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     }
 }
 
-/// While recording, records round 1's lock-queue structure as `LockWait`
-/// events: with per-key FIFO queues filled in member order (as a lock
-/// table is, built or not), each member waits on each distinct key of its
-/// key-set at depth = the number of earlier members locking that key. A
-/// retry round records the same events member by member
-/// ([`run_retry_round`]).
-fn note_waiters(work: &BatchWork, members: &[TxIdx]) {
-    let Some(rec) = work.hooks.recorder.as_ref().filter(|rec| rec.is_enabled()) else { return };
-    let mut queued: HashMap<Key, u64> = HashMap::new();
-    for &i in members {
-        let slot = &work.slots[i as usize];
-        let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
-        note_waits(rec, work.batch_index, &mut queued, i, &keys);
-    }
-}
-
-/// Records member `i`'s `LockWait` events (see [`note_waiters`]); `queued`
-/// counts the round's earlier members locking each key.
-fn note_waits(
-    rec: &FlightRecorder,
-    batch: u64,
-    queued: &mut HashMap<Key, u64>,
-    i: TxIdx,
-    keys: &[Key],
-) {
-    for (n, key) in keys.iter().enumerate() {
-        if keys[..n].contains(key) {
-            continue;
-        }
-        let depth = queued.entry(key.clone()).or_insert(0);
-        if *depth > 0 {
-            let (tx, depth) = (u64::from(i), *depth);
-            let (shard, key) = (ShardRouter::fingerprint(key), key_fingerprint(key));
+/// Queues member `i` of key-set `keys` next in `planner` and, while
+/// recording, records a `LockWait` event for every distinct key that
+/// earlier members of the round lock, at the depth the plan gives it.
+fn plan_member(work: &BatchWork, planner: &mut PlanBuilder, i: TxIdx, keys: Vec<Key>) {
+    let rec = work.hooks.recorder.as_deref().filter(|rec| rec.is_enabled());
+    let (batch, tx) = (work.batch_index, u64::from(i));
+    planner.push(keys, |key, depth| match rec {
+        Some(rec) if depth > 0 => {
+            let (depth, shard, key) =
+                (u64::from(depth), ShardRouter::fingerprint(key), key_fingerprint(key));
             rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
         }
-        *depth += 1;
-    }
+        _ => {}
+    });
+}
+
+/// In a round without a table, while recording (`planner` is the round's
+/// plan then), queues member `i` next and records its `LockWait` events.
+fn plan_waits(work: &BatchWork, planner: Option<&mut PlanBuilder>, i: TxIdx, state: &TxState) {
+    let Some(planner) = planner else { return };
+    plan_member(work, planner, i, sched::lock_keys(&work.slots[i as usize].tx, state));
 }
 
 /// Classifies a batch one transaction at a time, so the queuer can fill
@@ -814,9 +740,9 @@ pub struct Engine {
     batches_executed: AtomicU64,
     /// Serializes [`Engine::execute`] calls.
     exec_lock: Mutex<()>,
-    /// Long-lived per-shard lock-table builders, indexed by physical
-    /// shard; kept across batches only so each key map keeps its capacity.
-    builders: Mutex<Vec<LockTableBuilder>>,
+    /// Long-lived plan builder for pooled round 1's lock table; kept
+    /// across batches only so its key map keeps its capacity.
+    planner: Mutex<PlanBuilder>,
     /// Key → shard routing oracle over the configured shard count.
     router: ShardRouter,
     /// Registry handles (see [`EngineMetrics`]).
@@ -869,9 +795,7 @@ impl Engine {
             handles: Mutex::new(handles),
             batches_executed: AtomicU64::new(0),
             exec_lock: Mutex::new(()),
-            builders: Mutex::new(
-                (0..router.shards()).map(|_| LockTableBuilder::new()).collect(),
-            ),
+            planner: Mutex::new(PlanBuilder::default()),
             router,
             metrics: EngineMetrics::new(router.shards()),
             hooks: RwLock::new(Arc::default()),
@@ -981,7 +905,7 @@ impl Engine {
         mut next: Option<&mut Classifier<'_>>,
     ) -> BatchOutcome {
         let _exec = self.exec_lock.lock();
-        let mut builders = self.builders.lock();
+        let mut planner = self.planner.lock();
         let (work, mut rounds, mut outcome) = self.begin_batch(prepared);
         let config = self.config();
         loop {
@@ -1000,35 +924,39 @@ impl Engine {
             // verdict is already final, so they are excluded here; the
             // exclusion is deterministic because abort decisions are.
             rounds.members.retain(|&i| work.slots[i as usize].state.lock().aborted.is_none());
-            if first {
-                note_waiters(&work, &rounds.members);
-            }
-            let tables = if pooled {
-                self.build_tables(&work, &mut rounds, &mut builders, &mut outcome)
-            } else {
-                &[]
-            };
+            let round1 =
+                pooled.then(|| self.build_table(&work, &mut rounds, &mut planner, &mut outcome));
             outcome.stage.queue_ns += elapsed_ns(round_start);
             let update_start = Instant::now();
-            if pooled {
-                let duty = QueuerDuty { rounds: &mut rounds, next: next.as_deref_mut() };
-                drain(&work, 0, &self.store, tables, config.ready_policy.as_ref(), Some(duty));
+            if let Some(round1) = round1 {
+                let policy = config.ready_policy.as_ref();
+                drain(&work, 0, &self.store, round1, policy, next.as_deref_mut());
                 self.shared.barrier.wait(); // (3) update phase done; the workers leave
-            } else if first {
-                // One drainer, no table: member order is a grant order of the
-                // per-key FIFO queues, and each transaction reads only keys it
-                // locks, so it reads what a table would give it.
-                let mut next = next.as_deref_mut();
-                run_guarded(&work, || {
-                    for &i in &rounds.members {
-                        if let Some(next) = next.as_deref_mut() {
-                            next.step();
-                        }
-                        work.run_granted(i, &self.store, None, || {});
-                    }
-                });
             } else {
-                run_retry_round(&work, &self.store, config.prepare, &rounds.members);
+                // A round without a table plans its members only for the
+                // recorder's `LockWait` events.
+                let recording = work.hooks.recorder.as_ref().is_some_and(|rec| rec.is_enabled());
+                let mut waits = recording.then(PlanBuilder::default);
+                if first {
+                    // One drainer, no table: member order is a grant order of
+                    // the per-key FIFO queues, and each transaction reads only
+                    // keys it locks, so it reads what a table would give it.
+                    let mut next = next.as_deref_mut();
+                    run_guarded(&work, || {
+                        for &i in &rounds.members {
+                            if let Some(next) = next.as_deref_mut() {
+                                next.step();
+                            }
+                            let state = work.slots[i as usize].state.lock();
+                            plan_waits(&work, waits.as_mut(), i, &state);
+                            drop(state);
+                            work.run_granted(i, &self.store, None, || {});
+                        }
+                    });
+                } else {
+                    let (mode, members) = (config.prepare, &rounds.members);
+                    run_retry_round(&work, &self.store, mode, members, waits.as_mut());
+                }
             }
             let done = self.finish_round(&work, &mut rounds, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
@@ -1036,9 +964,9 @@ impl Engine {
                 break;
             }
         }
-        drop(builders);
+        drop(planner);
         self.commit_epoch(&work, &rounds, &mut outcome);
-        self.assemble_outcome(&work, &rounds, &mut outcome);
+        self.assemble_outcome(&work, &mut outcome);
         self.metrics.publish(&outcome);
         outcome
     }
@@ -1060,13 +988,12 @@ impl Engine {
             prior
         });
         let config = self.config();
-        let shards = self.router.shards();
         let snapshot_epoch = self.store.current_epoch() - 1;
         let work = Arc::new(BatchWork {
             slots,
             rot_queues: (0..config.workers).map(|_| SegQueue::new()).collect(),
             prepare_queue: SegQueue::new(),
-            lock_tables: OnceLock::new(),
+            round1: OnceLock::new(),
             round_total: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             failed: Mutex::new(Vec::new()),
@@ -1078,7 +1005,7 @@ impl Engine {
             batch_index,
             hooks,
             lock_waits: AtomicU64::new(0),
-            shard_exec_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            shard_exec_ns: (0..self.router.shards()).map(|_| AtomicU64::new(0)).collect(),
             fatal: AtomicBool::new(false),
             fatal_msg: Mutex::new(None),
         });
@@ -1100,66 +1027,44 @@ impl Engine {
             *generation += 1;
             self.shared.wake.notify_all();
         }
-        let rounds = Rounds {
-            members: dt_idxs.into_iter().chain(it_idxs).collect(),
-            cross: Vec::new(),
-            cross_wait: vec![0; batch_size],
-            cross_owners: vec![Vec::new(); batch_size],
-            shard_queue_ns: vec![0; shards],
-            prior_latency,
-        };
+        let rounds =
+            Rounds { members: dt_idxs.into_iter().chain(it_idxs).collect(), prior_latency };
         let stage = StageTimings { predict_ns, overlap_ns, ..StageTimings::default() };
         (work, rounds, BatchOutcome { batch_size, stage, ..BatchOutcome::default() })
     }
 
-    /// Phase 2 of a pooled round 1: routes and enqueues every member by its
-    /// predicted key-set, freezes one lock table per shard and publishes
-    /// the tables to the pool.
-    fn build_tables<'w>(
+    /// Phase 2 of a pooled round 1: plans every member by its predicted
+    /// key-set in member order, routes it to its home shard when there are
+    /// several shards, freezes the lock table and publishes it to the pool.
+    fn build_table<'w>(
         &self,
         work: &'w BatchWork,
         rounds: &mut Rounds,
-        builders: &mut [LockTableBuilder],
+        planner: &mut PlanBuilder,
         outcome: &mut BatchOutcome,
-    ) -> &'w [LockTable] {
-        // Single-shard transactions enqueue locally on their owner;
-        // cross-shard ones enqueue a foreign subset on every owner and
-        // are resolved by the exchange.
-        for &i in &rounds.members {
+    ) -> &'w Round1 {
+        let members = std::mem::take(&mut rounds.members);
+        let shards = self.router.shards();
+        let (mut route, mut cross) = (Vec::new(), 0);
+        for &i in &members {
             let slot = &work.slots[i as usize];
             let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
-            let t_enq = Instant::now();
-            let mut parts = self.router.partition(keys);
-            let home = if parts.len() <= 1 {
-                let (s, sub) = parts.pop().unwrap_or((0, Vec::new()));
-                builders[s].enqueue(i, sub);
-                outcome.stage.single_shard_txs += 1;
-                s
-            } else {
-                rounds.cross_wait[i as usize] = parts.len() as u32;
-                rounds.cross_owners[i as usize] = parts.iter().map(|(s, _)| *s).collect();
-                let home = parts[0].0;
-                for (s, sub) in parts {
-                    builders[s].enqueue_foreign(i, sub);
-                }
-                rounds.cross.push(i);
-                outcome.stage.cross_shard_txs += 1;
-                home
-            };
-            rounds.shard_queue_ns[home] += elapsed_ns(t_enq);
+            if shards > 1 {
+                let owners = self.router.route(&keys);
+                cross += usize::from(owners.is_cross());
+                route.push(owners.home() as u32);
+            }
+            plan_member(work, planner, i, keys);
         }
-        let mut tables = Vec::with_capacity(builders.len());
-        for (s, b) in builders.iter_mut().enumerate() {
-            let t_freeze = Instant::now();
-            let table = b.freeze(work.slots.len());
-            rounds.shard_queue_ns[s] += elapsed_ns(t_freeze);
-            outcome.stage.lock_contended_keys += table.contended_keys();
-            tables.push(table);
-        }
-        work.round_total.store(rounds.members.len(), Ordering::Release);
-        let tables = work.lock_tables.get_or_init(|| tables);
-        self.shared.barrier.wait(); // (2) lock tables published
-        tables
+        let plan = planner.finish();
+        outcome.stage.cross_shard_txs += cross as u64;
+        outcome.stage.single_shard_txs += (members.len() - cross) as u64;
+        outcome.stage.lock_contended_keys += plan.contended_keys();
+        work.round_total.store(members.len(), Ordering::Release);
+        let table = LockTable::new(plan, shards, route);
+        let round1 = work.round1.get_or_init(|| Round1 { table, members });
+        self.shared.barrier.wait(); // (2) lock table published
+        round1
     }
 
     /// Phase 4: enacts the failed-transaction policy. Returns whether the
@@ -1242,14 +1147,11 @@ impl Engine {
 
     /// Folds the slots into the outcome, harvests the batch's counters
     /// and emits the per-transaction verdict events.
-    fn assemble_outcome(&self, work: &BatchWork, rounds: &Rounds, outcome: &mut BatchOutcome) {
+    fn assemble_outcome(&self, work: &BatchWork, outcome: &mut BatchOutcome) {
         let apply_start = Instant::now();
         outcome.stage.lock_waits = work.lock_waits.load(Ordering::Acquire);
-        outcome.shard_stage = (rounds.shard_queue_ns.iter().zip(&work.shard_exec_ns))
-            .map(|(&queue_ns, exec)| ShardStageTimings {
-                queue_ns,
-                execute_ns: exec.load(Ordering::Acquire),
-            })
+        outcome.shard_stage = (work.shard_exec_ns.iter())
+            .map(|exec| ShardStageTimings { execute_ns: exec.load(Ordering::Acquire) })
             .collect();
         for slot in &work.slots {
             sched::fold_tx(outcome, &mut slot.state.lock());
@@ -1333,18 +1235,23 @@ fn prepare_phase(
 /// ([`sched::doomed`]). If a pivot the round-start walk reads has changed
 /// since the round began, it is doomed: validation would fail it, so it
 /// fails without a walk or a run. Otherwise it is walked from the round's
-/// starting values and runs. No member of a retry round had an injected fault (that fires at its
-/// first locked run, in round 1), so none would have aborted instead. Only
-/// a recorder needs a doomed member's round-start key-set, for its
-/// `LockWait` events, so only while recording is it walked and run as
-/// before. Other members were prepared at round start by [`prepare_phase`].
-fn run_retry_round(work: &BatchWork, store: &EpochStore, mode: PrepareMode, members: &[TxIdx]) {
-    let recorder = work.hooks.recorder.as_deref().filter(|rec| rec.is_enabled());
+/// starting values and runs. No member of a retry round had an injected
+/// fault (that fires at its first locked run, in round 1), so none would
+/// have aborted instead. Only a recorder needs a doomed member's
+/// round-start key-set, for its `LockWait` events, so only while recording
+/// (`waits` is the round's plan then) is it walked and run as before.
+/// Other members were prepared at round start by [`prepare_phase`].
+fn run_retry_round(
+    work: &BatchWork,
+    store: &EpochStore,
+    mode: PrepareMode,
+    members: &[TxIdx],
+    mut waits: Option<&mut PlanBuilder>,
+) {
     // The round-start value of every key that a member run so far locked.
     // Writes stay inside the writer's key-set, so every other key still
     // holds its round-start value.
     let mut start: HashMap<Key, Value> = HashMap::new();
-    let mut queued: HashMap<Key, u64> = HashMap::new();
     run_guarded(work, || {
         for &i in members {
             let slot = &work.slots[i as usize];
@@ -1352,7 +1259,7 @@ fn run_retry_round(work: &BatchWork, store: &EpochStore, mode: PrepareMode, memb
             debug_assert!(slot.tx.table_scope.is_none(), "table-scoped members never fail");
             if let Some(profile) = sched::walked_profile(&slot.tx, mode) {
                 let last = state.prediction.as_ref().expect("a failed member keeps its prediction");
-                if recorder.is_none() && sched::doomed(last, &start, store) {
+                if waits.is_none() && sched::doomed(last, &start, store) {
                     work.failed.lock().push(i);
                     continue;
                 }
@@ -1368,57 +1275,47 @@ fn run_retry_round(work: &BatchWork, store: &EpochStore, mode: PrepareMode, memb
                     start.insert(key.clone(), store.get_latest(key).unwrap_or(Value::Unit));
                 }
             }
-            if let Some(rec) = recorder {
-                let keys = sched::lock_keys(&slot.tx, &state);
-                note_waits(rec, work.batch_index, &mut queued, i, &keys);
-            }
+            plan_waits(work, waits.as_deref_mut(), i, &state);
             drop(state);
             work.run_granted(i, store, None, || {});
         }
     });
 }
 
-/// Phase 3 on thread `id` in a pooled round 1: pops ready transactions through
-/// `policy`, scanning the shards from the thread's affinity offset so the
-/// threads spread over shards instead of contending on shard 0, runs them
-/// and releases their slots, until the round is over. A single-shard
-/// transaction lives wholly in the table it is popped from, so release
-/// goes back to that same table.
+/// Phase 3 on thread `id` in a pooled round 1: pops ready transactions
+/// through `policy`, scanning the shards' ready queues from the thread's
+/// affinity offset so the threads spread over shards instead of contending
+/// on shard 0, runs them and releases their locks, until the round is over.
 ///
-/// The queuer passes its `duty`: each of its passes runs the cross-shard
-/// exchange, then classifies one transaction of the next batch, then
-/// executes — so classification overlaps the round instead of trailing
-/// commit. Idle threads spin hot: parked threads pay wake-up latency on
-/// every lock-chain handoff, which would serialize contended batches.
+/// Each pass of the queuer (id 0) classifies one transaction of the `next`
+/// batch, then executes — so classification overlaps the round instead of
+/// trailing commit. Idle threads spin hot: parked threads pay wake-up
+/// latency on every lock-chain handoff, which would serialize contended
+/// batches.
 fn drain(
     work: &BatchWork,
     id: usize,
     store: &EpochStore,
-    tables: &[LockTable],
+    round1: &Round1,
     policy: &dyn ReadyPolicy,
-    mut duty: Option<QueuerDuty<'_, '_>>,
+    mut next: Option<&mut Classifier<'_>>,
 ) {
     run_guarded(work, || {
-        let n = tables.len();
+        let table = &round1.table;
+        let n = table.shards();
         let backoff = Backoff::new();
         // Wait-episode metric: count executing→spinning transitions, not spin
         // iterations, so the number is a coarse contention signal rather than
         // a spin-rate artifact. Wall-clock-dependent; metrics only.
         let mut waiting = false;
         while !work.round_over() {
-            let (mut progress, mut classified) = (false, false);
-            if let Some(duty) = duty.as_mut() {
-                progress = duty.rounds.exchange_pass(work, store, tables);
-                classified = duty.next.as_deref_mut().is_some_and(Classifier::step);
-            }
+            let classified = next.as_deref_mut().is_some_and(Classifier::step);
             let popped = (0..n)
                 .map(|off| (id + off) % n)
-                .find_map(|t| tables[t].pop_ready_with(policy).map(|i| (t, i)));
-            if let Some((t, i)) = popped {
-                work.run_granted(i, store, Some(t), || tables[t].release(i));
-                progress = true;
-            }
-            if progress {
+                .find_map(|s| table.pop_ready_with(s, policy).map(|m| (s, m)));
+            if let Some((s, m)) = popped {
+                let i = round1.members[m as usize];
+                work.run_granted(i, store, Some(s), || table.release(m));
                 waiting = false;
                 backoff.reset();
                 continue;
@@ -1474,9 +1371,9 @@ fn worker_loop(worker_id: usize, shared: &Shared, store: &EpochStore) {
 
         prepare_phase(&work, worker_id, store, config, Snapshot::Epoch(work.prepare_epoch));
         shared.barrier.wait(); // (1)
-        shared.barrier.wait(); // (2) lock tables ready
-        let tables = work.lock_tables.get().expect("lock tables published before phase 3");
-        drain(&work, worker_id, store, tables, config.ready_policy.as_ref(), None);
+        shared.barrier.wait(); // (2) lock table ready
+        let round1 = work.round1.get().expect("lock table published before phase 3");
+        drain(&work, worker_id, store, round1, config.ready_policy.as_ref(), None);
         shared.barrier.wait(); // (3) the worker leaves the batch
     }
 }

@@ -58,9 +58,7 @@ pub use engine::{
 };
 pub use exec::{AccessScope, OpCounts, TxFailure};
 pub use faults::{AbortReason, ConsensusFault, FaultPlan};
-pub use locktable::{
-    FifoPolicy, LockTable, LockTableBuilder, ReadyPolicy, SeededShufflePolicy, TxIdx,
-};
+pub use locktable::{FifoPolicy, LockTable, ReadyPolicy, SeededShufflePolicy, TxIdx};
 pub use replica::{LogRecord, RecoveryReport, Replica};
 pub use shard::{ShardRoute, ShardRouter};
 pub use prognosticator_symexec::TxClass;

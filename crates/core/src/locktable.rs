@@ -11,26 +11,23 @@
 //! between workers and the queuer: the queues are frozen once the batch is
 //! built).
 //!
-//! # Linked queues
-//!
-//! Every per-key queue is a linked list threaded through one arena of
-//! `(tx, key)` entries. Each enqueued transaction owns a contiguous span
-//! of entries, one per distinct key of its key-set, and an entry holds the
-//! transaction queued *next* on that key, if any. The builder keeps only
-//! `key → entry of its last locker`: enqueueing a key that already has a
-//! locker writes the new transaction into that locker's entry and counts
-//! one more predecessor for the new transaction. A transaction with no
-//! predecessor heads all its queues and is ready at freeze; releasing a
-//! transaction walks its own span and decrements each successor's count.
-//! The frozen table is never keyed by `Key` — `release` is pure array
-//! indexing — and its links are the predicted conflict graph's edges.
+//! The queues themselves are a [`Plan`] from [`crate::sched::plan`]: each
+//! member's span of `(member, key)` entries links to the member queued
+//! next on that key, so the plan's links are the predicted conflict
+//! graph's edges. A [`LockTable`] is that plan plus, per member, an atomic
+//! count of the predecessors it still waits for and a release flag, and
+//! one ready queue per shard, each member surfacing on the one its route
+//! names. A member's one count covers every key it locks, whichever shards
+//! own them, so it is safe to run the moment it surfaces. The table is
+//! never keyed by `Key` — `release` is pure array indexing — and it names
+//! members by their position in the plan.
 
+use crate::sched::{Plan, NO_NEXT};
 use crossbeam::queue::SegQueue;
-use prognosticator_txir::Key;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-/// Index of a transaction within the current scheduling round.
+/// Index of a transaction: its batch position, or, in a [`LockTable`], its
+/// member position.
 pub type TxIdx = u32;
 
 /// Pluggable selection among currently-ready transactions — the schedule-
@@ -105,165 +102,81 @@ impl ReadyPolicy for SeededShufflePolicy {
     }
 }
 
-/// The successor of an entry that is the tail of its key's queue.
-const NO_TX: TxIdx = TxIdx::MAX;
-
-/// One transaction's locks: its span of the entry arena, its predecessor
-/// count and its release flag.
+/// One member's atomics.
 #[derive(Debug, Default)]
-struct TxLocks {
-    start: u32,
-    len: u32,
-    /// Whether the transaction surfaces on the foreign-ready queue (a
-    /// cross-shard participant) instead of the workers' ready queue.
-    foreign: bool,
-    /// Predecessors not yet released: the number of queues the
-    /// transaction does not head yet (the paper's `total locks`).
+struct MemberLocks {
+    /// Predecessors not yet released: the number of queues the member
+    /// does not head yet (the paper's `total locks`).
     remaining: AtomicU32,
     /// Guards against double release, which would decrement successors'
     /// counts twice and grant them while a predecessor still runs.
     released: AtomicBool,
 }
 
-/// Build-phase lock table: single-threaded and mutable.
-///
-/// `enqueue` + [`freeze`](LockTableBuilder::freeze) produce one table and
-/// leave the builder empty for the next build; a long-lived builder keeps
-/// the capacity of its key map.
-#[derive(Debug, Default)]
-pub struct LockTableBuilder {
-    /// Key → (entry of its last locker, whether its queue holds more than
-    /// one transaction). Cleared at every freeze.
-    last: HashMap<Key, (u32, bool)>,
-    /// The entry arena: per `(tx, key)` entry, the transaction queued next
-    /// on that key.
-    next: Vec<TxIdx>,
-    /// Enqueued transactions, in enqueue order.
-    txs: Vec<(TxIdx, TxLocks)>,
-    /// Keys whose queue holds more than one transaction.
-    contended: u64,
-}
-
-impl LockTableBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enqueues `tx` into the queue of every key in `keys`, in the agreed
-    /// order. Duplicate keys within one transaction's key-set are dropped
-    /// (first occurrence wins): a duplicate would queue the transaction
-    /// behind itself, so it would never become ready and the batch would
-    /// hang.
-    pub fn enqueue(&mut self, tx: TxIdx, keys: Vec<Key>) {
-        self.enqueue_inner(tx, keys, false);
-    }
-
-    /// Enqueues a **cross-shard** transaction's local key subset. The
-    /// frozen table will surface its readiness on the foreign-ready
-    /// queue ([`LockTable::pop_foreign_ready`]) instead of the worker
-    /// ready queue: cross-shard transactions execute only via the
-    /// queuer's exchange, once *every* owner shard has signalled.
-    pub fn enqueue_foreign(&mut self, tx: TxIdx, keys: Vec<Key>) {
-        self.enqueue_inner(tx, keys, true);
-    }
-
-    fn enqueue_inner(&mut self, tx: TxIdx, keys: Vec<Key>, foreign: bool) {
-        let start = self.next.len() as u32;
-        let mut preds = 0;
-        for key in keys {
-            let entry = self.next.len() as u32;
-            match self.last.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert((entry, false));
-                }
-                // The last locker's entry lies in this transaction's own
-                // span: a duplicate key.
-                Entry::Occupied(o) if o.get().0 >= start => continue,
-                Entry::Occupied(mut o) => {
-                    let (last, contended) = o.get_mut();
-                    self.next[*last as usize] = tx;
-                    *last = entry;
-                    if !*contended {
-                        *contended = true;
-                        self.contended += 1;
-                    }
-                    preds += 1;
-                }
-            }
-            self.next.push(NO_TX);
-        }
-        let len = self.next.len() as u32 - start;
-        let remaining = AtomicU32::new(preds);
-        self.txs.push((tx, TxLocks { start, len, foreign, remaining, ..TxLocks::default() }));
-    }
-
-    /// Freezes the table for concurrent execution and publishes, in
-    /// enqueue order, every transaction with no predecessor. The builder
-    /// is left empty.
-    pub fn freeze(&mut self, max_tx: usize) -> LockTable {
-        let mut txs: Vec<TxLocks> = (0..max_tx).map(|_| TxLocks::default()).collect();
-        let (ready, foreign_ready) = (SegQueue::new(), SegQueue::new());
-        for (tx, mut locks) in self.txs.drain(..) {
-            if *locks.remaining.get_mut() == 0 {
-                let queue = if locks.foreign { &foreign_ready } else { &ready };
-                queue.push(tx);
-            }
-            txs[tx as usize] = locks;
-        }
-        self.last.clear();
-        let capacity = self.next.len();
-        let next = std::mem::replace(&mut self.next, Vec::with_capacity(capacity));
-        let contended = std::mem::take(&mut self.contended);
-        LockTable { next, txs, ready, foreign_ready, contended }
-    }
-}
-
-/// Frozen lock table: the entry arena plus per-transaction atomic counters,
-/// all indexed by entry or transaction index.
+/// A frozen plan plus per-member atomic counters and the ready queues.
 #[derive(Debug)]
 pub struct LockTable {
-    /// The entry arena: per `(tx, key)` entry, the transaction queued next
-    /// on that key.
-    next: Vec<TxIdx>,
-    /// Per-transaction locks, indexed by transaction.
-    txs: Vec<TxLocks>,
-    ready: SegQueue<TxIdx>,
-    /// Ready cross-shard transactions, for the queuer's barrier exchange.
-    foreign_ready: SegQueue<TxIdx>,
-    /// Keys whose queue holds more than one transaction.
-    contended: u64,
+    plan: Plan,
+    members: Vec<MemberLocks>,
+    /// Per member, the shard whose ready queue it surfaces on; empty when
+    /// every member surfaces on ready queue 0.
+    route: Vec<u32>,
+    /// One ready queue per shard.
+    queues: Vec<SegQueue<TxIdx>>,
 }
 
 impl LockTable {
-    /// Pops a ready transaction, if any. Ready transactions are mutually
+    /// Freezes `plan` over `shards` ready queues and publishes, in member
+    /// order, every member with no predecessor. `route` holds, per member,
+    /// the shard whose ready queue it surfaces on; an empty `route` puts
+    /// every member on ready queue 0.
+    pub fn new(plan: Plan, shards: usize, route: Vec<u32>) -> LockTable {
+        debug_assert!(route.is_empty() || route.len() == plan.len(), "one route per member");
+        let members = (0..plan.len())
+            .map(|m| MemberLocks { remaining: AtomicU32::new(plan.preds(m)), ..Default::default() })
+            .collect();
+        let queues = (0..shards.max(1)).map(|_| SegQueue::new()).collect();
+        let table = LockTable { plan, members, route, queues };
+        for (m, locks) in table.members.iter().enumerate() {
+            if locks.remaining.load(Ordering::Relaxed) == 0 {
+                table.surface(m as TxIdx);
+            }
+        }
+        table
+    }
+
+    /// Number of shard ready queues.
+    pub fn shards(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Pushes ready member `m` onto the queue its route names.
+    fn surface(&self, m: TxIdx) {
+        let shard = self.route.get(m as usize).map_or(0, |&s| s as usize);
+        self.queues[shard].push(m);
+    }
+
+    /// Pops a ready member of `shard`, if any. Ready members are mutually
     /// non-conflicting and safe to execute concurrently.
-    pub fn pop_ready(&self) -> Option<TxIdx> {
-        self.ready.pop()
+    pub fn pop_ready(&self, shard: usize) -> Option<TxIdx> {
+        self.queues[shard].pop()
     }
 
-    /// Pops a ready **cross-shard** transaction. Only the queuer's
-    /// deterministic barrier exchange consumes this queue: a cross-shard
-    /// transaction is executable once it has surfaced on the foreign-ready
-    /// queue of *every* owner shard.
-    pub fn pop_foreign_ready(&self) -> Option<TxIdx> {
-        self.foreign_ready.pop()
-    }
-
-    /// Pops a ready transaction chosen by `policy` — the schedule-
-    /// exploration seam. Up to `policy.window()` ready transactions are
+    /// Pops a ready member of `shard` chosen by `policy` — the schedule-
+    /// exploration seam. Up to `policy.window()` ready members are
     /// drained, one is chosen, and the rest are re-queued; this is safe
-    /// because every ready transaction is non-conflicting with every
-    /// other, so consumption order is unconstrained.
-    pub fn pop_ready_with(&self, policy: &dyn ReadyPolicy) -> Option<TxIdx> {
+    /// because every ready member is non-conflicting with every other, so
+    /// consumption order is unconstrained.
+    pub fn pop_ready_with(&self, shard: usize, policy: &dyn ReadyPolicy) -> Option<TxIdx> {
+        let ready = &self.queues[shard];
         let window = policy.window().max(1);
         if window == 1 {
-            return self.ready.pop();
+            return ready.pop();
         }
         let mut candidates = Vec::with_capacity(window);
         while candidates.len() < window {
-            match self.ready.pop() {
-                Some(tx) => candidates.push(tx),
+            match ready.pop() {
+                Some(m) => candidates.push(m),
                 None => break,
             }
         }
@@ -272,68 +185,67 @@ impl LockTable {
         }
         let pick = policy.choose(&candidates).min(candidates.len() - 1);
         let chosen = candidates.swap_remove(pick);
-        for tx in candidates {
-            self.ready.push(tx);
+        for m in candidates {
+            ready.push(m);
         }
         Some(chosen)
     }
 
-    /// Releases `tx`'s locks after it committed **or aborted**: decrements
-    /// the count of its successor on each of its keys and publishes any
-    /// successor that became ready.
+    /// Releases member `m`'s locks after it committed **or aborted**:
+    /// decrements the count of its successor on each of its keys and
+    /// publishes any successor that became ready.
     ///
-    /// The successors are visited in the transaction's key-set order — a
+    /// The successors are visited in the member's key-set order — a
     /// fixed, replica-independent order — so an aborting transaction
     /// (workload bug or injected worker panic) unblocks its successors
     /// exactly as a committing one would, on every replica.
     ///
     /// # Panics
-    /// Panics (debug) if `tx` was already released — a double release
-    /// would silently corrupt successors' lock counts — or if `tx` does
+    /// Panics (debug) if `m` was already released — a double release
+    /// would silently corrupt successors' lock counts — or if `m` does
     /// not yet head all its queues. In release builds a double release is
     /// ignored instead of corrupting the schedule.
-    pub fn release(&self, tx: TxIdx) {
-        let locks = &self.txs[tx as usize];
+    pub fn release(&self, m: TxIdx) {
+        let locks = &self.members[m as usize];
         let was_released = locks.released.swap(true, Ordering::AcqRel);
-        debug_assert!(!was_released, "double release of tx {tx}");
+        debug_assert!(!was_released, "double release of member {m}");
         if was_released {
             return;
         }
-        debug_assert_eq!(locks.remaining.load(Ordering::Acquire), 0, "release out of order: {tx}");
-        let (start, len) = (locks.start as usize, locks.len as usize);
-        for &succ in &self.next[start..start + len] {
-            if succ == NO_TX {
+        debug_assert_eq!(locks.remaining.load(Ordering::Acquire), 0, "release out of order: {m}");
+        for entry in self.plan.entries(m as usize) {
+            if entry.next == NO_NEXT {
                 continue;
             }
-            let succ_locks = &self.txs[succ as usize];
-            if succ_locks.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let queue = if succ_locks.foreign { &self.foreign_ready } else { &self.ready };
-                queue.push(succ);
+            if self.members[entry.next as usize].remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.surface(entry.next);
             }
         }
-    }
-
-    /// Number of contended keys this round: queues holding more than one
-    /// transaction. A pure function of the frozen build (batch contents
-    /// and enqueue order), never of worker timing — safe to export as a
-    /// deterministic metric.
-    pub fn contended_keys(&self) -> u64 {
-        self.contended
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prognosticator_txir::TableId;
+    use crate::sched;
+    use prognosticator_txir::{Key, TableId};
 
     fn k(i: i64) -> Key {
         Key::of_ints(TableId(0), &[i])
     }
 
+    /// A one-shard table over `keysets`, one per member in member order.
+    fn table(keysets: Vec<Vec<Key>>) -> LockTable {
+        frozen(sched::plan(keysets))
+    }
+
+    fn frozen(plan: Plan) -> LockTable {
+        LockTable::new(plan, 1, Vec::new())
+    }
+
     fn drain_ready(t: &LockTable) -> Vec<TxIdx> {
         let mut out = Vec::new();
-        while let Some(x) = t.pop_ready() {
+        while let Some(x) = t.pop_ready(0) {
             out.push(x);
         }
         out.sort_unstable();
@@ -342,23 +254,17 @@ mod tests {
 
     #[test]
     fn disjoint_txs_all_ready() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1), k(2)]);
-        b.enqueue(1, vec![k(3)]);
-        b.enqueue(2, vec![k(4), k(5)]);
-        let t = b.freeze(3);
-        assert_eq!(drain_ready(&t), vec![0, 1, 2]);
-        assert_eq!(t.contended_keys(), 0);
+        let plan = sched::plan(vec![vec![k(1), k(2)], vec![k(3)], vec![k(4), k(5)]]);
+        assert_eq!(plan.contended_keys(), 0);
+        assert_eq!(drain_ready(&frozen(plan)), vec![0, 1, 2]);
     }
 
     #[test]
     fn conflicting_txs_serialize_in_order() {
         // The paper's Fig. 2 shape: tx0 and tx1 disjoint, tx2 behind both.
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1), k(2)]);
-        b.enqueue(1, vec![k(3)]);
-        b.enqueue(2, vec![k(2), k(3)]);
-        let t = b.freeze(3);
+        let plan = sched::plan(vec![vec![k(1), k(2)], vec![k(3)], vec![k(2), k(3)]]);
+        assert_eq!(plan.preds(2), 2);
+        let t = frozen(plan);
         assert_eq!(drain_ready(&t), vec![0, 1]);
         t.release(0);
         assert_eq!(drain_ready(&t), vec![], "tx2 still waits on k3");
@@ -370,11 +276,10 @@ mod tests {
 
     #[test]
     fn chain_of_conflicts_preserves_order() {
-        let mut b = LockTableBuilder::new();
-        for i in 0..5 {
-            b.enqueue(i, vec![k(9)]);
-        }
-        let t = b.freeze(5);
+        let plan = sched::plan(vec![vec![k(9)]; 5]);
+        let depths: Vec<u32> = (0..5).map(|m| plan.entries(m)[0].depth).collect();
+        assert_eq!(depths, vec![0, 1, 2, 3, 4]);
+        let t = frozen(plan);
         for expect in 0..5 {
             let ready = drain_ready(&t);
             assert_eq!(ready, vec![expect]);
@@ -384,19 +289,13 @@ mod tests {
 
     #[test]
     fn empty_keyset_is_trivially_ready() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![]);
-        b.enqueue(1, vec![k(1)]);
-        let t = b.freeze(2);
+        let t = table(vec![vec![], vec![k(1)]]);
         assert_eq!(drain_ready(&t), vec![0, 1]);
     }
 
     #[test]
     fn release_after_abort_unblocks_successors() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue(1, vec![k(1)]);
-        let t = b.freeze(2);
+        let t = table(vec![vec![k(1)], vec![k(1)]]);
         assert_eq!(drain_ready(&t), vec![0]);
         // tx0 aborts — release still advances the queue.
         t.release(0);
@@ -408,11 +307,10 @@ mod tests {
         // Regression: a duplicate key used to enqueue the transaction
         // twice on one queue; its lock count could then never reach zero
         // (it waited behind itself) and the batch hung.
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1), k(1), k(2)]);
-        b.enqueue(1, vec![k(1)]);
-        let t = b.freeze(2);
-        assert_eq!(t.contended_keys(), 1, "k(1) queues tx0 once, then tx1");
+        let plan = sched::plan(vec![vec![k(1), k(1), k(2)], vec![k(1)]]);
+        assert_eq!(plan.entries(0).len(), 2, "one entry per distinct key");
+        assert_eq!(plan.contended_keys(), 1, "k(1) queues tx0 once, then tx1");
+        let t = frozen(plan);
         assert_eq!(drain_ready(&t), vec![0], "tx0 is ready despite the dup");
         t.release(0);
         assert_eq!(drain_ready(&t), vec![1], "tx1 unblocks after one release");
@@ -420,43 +318,37 @@ mod tests {
     }
 
     #[test]
-    fn foreign_txs_surface_on_foreign_ready_only() {
-        let mut b = LockTableBuilder::new();
-        // tx0: local head of k(1); tx1: cross-shard participant behind it;
-        // tx2: cross-shard participant at the head of k(2).
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue_foreign(1, vec![k(1)]);
-        b.enqueue_foreign(2, vec![k(2)]);
-        let t = b.freeze(3);
-        assert_eq!(drain_ready(&t), vec![0], "workers only see local txs");
-        assert_eq!(t.pop_foreign_ready(), Some(2), "foreign head signals the queuer");
-        assert_eq!(t.pop_foreign_ready(), None);
-        // Releasing the local predecessor surfaces the foreign successor
-        // on the foreign-ready queue, never on the worker queue.
+    fn multi_owner_members_surface_on_their_route_only_when_granted() {
+        // tx0 on shard 1 heads k(1); tx1, owned by shards 0 and 1 and
+        // routed to 0, waits behind it on k(1) and heads k(2); tx2, on
+        // shard 1, waits behind tx1 on k(2); tx3, routed to 0, has no
+        // predecessor.
+        let keysets = vec![vec![k(1)], vec![k(1), k(2)], vec![k(2)], vec![k(3)]];
+        let t = LockTable::new(sched::plan(keysets), 2, vec![1, 0, 1, 0]);
+        assert_eq!(t.pop_ready(1), Some(0));
+        assert_eq!(t.pop_ready(0), Some(3));
+        assert_eq!(t.pop_ready(0), None, "tx1 heads k(2) but still waits on k(1)");
         t.release(0);
-        assert_eq!(drain_ready(&t), vec![]);
-        assert_eq!(t.pop_foreign_ready(), Some(1));
+        assert_eq!(t.pop_ready(0), Some(1), "one global count reached 0");
+        assert_eq!(t.pop_ready(1), None, "tx2 waits behind tx1 across shards");
         t.release(1);
+        assert_eq!((t.pop_ready(0), t.pop_ready(1)), (None, Some(2)));
         t.release(2);
+        t.release(3);
     }
 
     #[test]
-    fn foreign_empty_keyset_is_trivially_foreign_ready() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue_foreign(0, vec![]);
-        let t = b.freeze(1);
-        assert_eq!(drain_ready(&t), vec![]);
-        assert_eq!(t.pop_foreign_ready(), Some(0));
+    fn empty_keyset_surfaces_at_once_on_its_route_only() {
+        let t = LockTable::new(sched::plan(vec![vec![]]), 2, vec![1]);
+        assert_eq!(t.pop_ready(0), None);
+        assert_eq!(t.pop_ready(1), Some(0));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "double release")]
     fn double_release_panics_in_debug() {
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue(1, vec![k(1)]);
-        let t = b.freeze(2);
+        let t = table(vec![vec![k(1)], vec![k(1)]]);
         t.release(0);
         t.release(0);
     }
@@ -467,11 +359,7 @@ mod tests {
     fn releasing_a_blocked_tx_panics_in_debug() {
         // tx1 waits behind tx0 on k(1); releasing it first would hand k(2)
         // on to tx2 while tx1 never held k(1).
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue(1, vec![k(1), k(2)]);
-        b.enqueue(2, vec![k(2)]);
-        let t = b.freeze(3);
+        let t = table(vec![vec![k(1)], vec![k(1), k(2)], vec![k(2)]]);
         assert_eq!(drain_ready(&t), vec![0]);
         t.release(1);
     }
@@ -481,11 +369,7 @@ mod tests {
         // Regression: a second release of tx0 used to advance k(1)'s
         // queue again, decrementing tx2's count while tx1 still held the
         // key — tx1 and tx2 would then run concurrently on one key.
-        let mut b = LockTableBuilder::new();
-        b.enqueue(0, vec![k(1)]);
-        b.enqueue(1, vec![k(1)]);
-        b.enqueue(2, vec![k(1)]);
-        let t = b.freeze(3);
+        let t = table(vec![vec![k(1)]; 3]);
         assert_eq!(drain_ready(&t), vec![0]);
         t.release(0);
         let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.release(0)));
@@ -502,13 +386,9 @@ mod tests {
 
     #[test]
     fn fifo_policy_matches_pop_ready() {
-        let mut b = LockTableBuilder::new();
-        for i in 0..4 {
-            b.enqueue(i, vec![k(i64::from(i))]);
-        }
-        let t = b.freeze(4);
+        let t = table((0..4).map(|i| vec![k(i)]).collect());
         let mut seen = Vec::new();
-        while let Some(x) = t.pop_ready_with(&FifoPolicy) {
+        while let Some(x) = t.pop_ready_with(0, &FifoPolicy) {
             seen.push(x);
         }
         seen.sort_unstable();
@@ -518,13 +398,9 @@ mod tests {
     #[test]
     fn shuffle_policy_loses_no_transactions() {
         let policy = SeededShufflePolicy::new(42, 3);
-        let mut b = LockTableBuilder::new();
-        for i in 0..16 {
-            b.enqueue(i, vec![k(i64::from(i))]);
-        }
-        let t = b.freeze(16);
+        let t = table((0..16).map(|i| vec![k(i)]).collect());
         let mut seen = Vec::new();
-        while let Some(x) = t.pop_ready_with(&policy) {
+        while let Some(x) = t.pop_ready_with(0, &policy) {
             seen.push(x);
         }
         seen.sort_unstable();
@@ -536,15 +412,11 @@ mod tests {
         // A chain on one key stays serialized no matter the policy: the
         // ready queue never holds two conflicting transactions at once.
         let policy = SeededShufflePolicy::new(7, 4);
-        let mut b = LockTableBuilder::new();
-        for i in 0..5 {
-            b.enqueue(i, vec![k(9)]);
-        }
-        let t = b.freeze(5);
+        let t = table(vec![vec![k(9)]; 5]);
         for expect in 0..5 {
-            let got = t.pop_ready_with(&policy).expect("head is ready");
+            let got = t.pop_ready_with(0, &policy).expect("head is ready");
             assert_eq!(got, expect);
-            assert_eq!(t.pop_ready_with(&policy), None);
+            assert_eq!(t.pop_ready_with(0, &policy), None);
             t.release(expect);
         }
     }
@@ -564,12 +436,8 @@ mod tests {
     fn concurrent_release_is_safe() {
         use std::sync::Arc;
         // 64 disjoint chains of 2; release the heads from 8 threads.
-        let mut b = LockTableBuilder::new();
-        for i in 0..64u32 {
-            b.enqueue(i, vec![k(i64::from(i))]);
-            b.enqueue(64 + i, vec![k(i64::from(i))]);
-        }
-        let t = Arc::new(b.freeze(128));
+        let keysets = (0..128).map(|i| vec![k(i % 64)]).collect();
+        let t = Arc::new(table(keysets));
         let heads: Vec<TxIdx> = (0..64).collect();
         let mut handles = Vec::new();
         for chunk in heads.chunks(8) {
@@ -585,7 +453,7 @@ mod tests {
             h.join().expect("release thread");
         }
         let mut ready = Vec::new();
-        while let Some(x) = t.pop_ready() {
+        while let Some(x) = t.pop_ready(0) {
             ready.push(x);
         }
         // First 64 were ready at freeze; after releases the other 64 are.

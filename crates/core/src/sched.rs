@@ -4,14 +4,17 @@
 //! function of the agreed batch, the catalog, the seeded fault plan and
 //! the store state the caller presents. Two drivers walk a batch through
 //! these functions — the threaded [`crate::Engine`] (real workers, wall
-//! clock, linked lock tables) and the bench simulator (virtual clock, its
-//! own per-key queues) — and differ only in *when* each call happens,
-//! never in what it decides:
+//! clock, one lock table per round) and the bench simulator (virtual
+//! clock) — and differ only in *when* each call happens, never in what it
+//! decides:
 //!
 //! * [`classify`] — request → class, direct prediction, table scope;
 //! * [`prepare`] — dependent-transaction key-set from the profile's
 //!   pivots or from reconnaissance;
 //! * [`lock_keys`] — the keys a prepared transaction enqueues on;
+//! * [`plan`] — who waits for whom: a round's per-key FIFO queues as
+//!   successor links with depths, which the engine's lock table, the
+//!   simulator and the recorder's `LockWait` events all read;
 //! * [`doomed`] — whether a retry-round member's last pivot reads doom
 //!   it before it is walked;
 //! * [`run_tx`] — run one transaction: fault replay/injection, panic
@@ -30,7 +33,7 @@ use crate::locktable::TxIdx;
 use prognosticator_storage::EpochStore;
 use prognosticator_symexec::{PredictError, Prediction, Profile, TxClass};
 use prognosticator_txir::{Key, Program, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 pub use crate::exec::Snapshot;
@@ -246,6 +249,122 @@ pub fn lock_keys(tx: &Tx, state: &TxState) -> Vec<Key> {
             .expect("update transaction prepared before enqueue")
             .key_set(),
     }
+}
+
+/// The successor of a [`PlanEntry`] whose key has no later locker.
+pub const NO_NEXT: u32 = u32::MAX;
+
+/// One member's lock on one distinct key of its key-set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanEntry {
+    /// Position of the member queued next on this key, or [`NO_NEXT`].
+    pub next: u32,
+    /// Earlier members locking this key: the member's place in the key's
+    /// queue, `0` at its head.
+    pub depth: u32,
+}
+
+/// A round's predicted conflict graph: per-key FIFO queues filled in
+/// member order, stored as successor links. Members are named by their
+/// position in the order they were pushed.
+#[derive(Debug, Default)]
+pub struct Plan {
+    /// Every member's entries, member after member.
+    entries: Vec<PlanEntry>,
+    /// Per member, the end of its span of `entries`; the span starts where
+    /// the previous member's ends.
+    ends: Vec<u32>,
+}
+
+impl Plan {
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the plan has no member.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Member `m`'s entries, one per distinct key in key-set order.
+    pub fn entries(&self, m: usize) -> &[PlanEntry] {
+        let start = if m == 0 { 0 } else { self.ends[m - 1] as usize };
+        &self.entries[start..self.ends[m] as usize]
+    }
+
+    /// Member `m`'s predecessor count: the queues it does not head (the
+    /// paper's `total locks`).
+    pub fn preds(&self, m: usize) -> u32 {
+        self.entries(m).iter().filter(|e| e.depth > 0).count() as u32
+    }
+
+    /// Keys whose queue holds more than one member.
+    pub fn contended_keys(&self) -> u64 {
+        self.entries.iter().filter(|e| e.depth == 1).count() as u64
+    }
+}
+
+/// Builds [`Plan`]s: [`push`](PlanBuilder::push) the members in member
+/// order, then [`finish`](PlanBuilder::finish). A long-lived builder keeps
+/// the capacity of its key map.
+#[derive(Debug, Default)]
+pub struct PlanBuilder {
+    /// Key → entry of its last locker so far.
+    last: HashMap<Key, u32>,
+    plan: Plan,
+}
+
+impl PlanBuilder {
+    /// Queues the next member on every key of `keys`, calling `each` with
+    /// every distinct key and its depth in key-set order. A key repeated
+    /// within `keys` is queued once (first occurrence wins): queued twice,
+    /// the member would wait behind itself.
+    pub fn push(&mut self, keys: Vec<Key>, mut each: impl FnMut(&Key, u32)) {
+        let member = self.plan.ends.len() as u32;
+        let entries = &mut self.plan.entries;
+        let start = entries.len() as u32;
+        for key in keys {
+            let entry = entries.len() as u32;
+            let depth = match self.last.entry(key) {
+                Entry::Vacant(v) => {
+                    each(v.key(), 0);
+                    v.insert(entry);
+                    0
+                }
+                // The last locker's entry lies in this member's own span.
+                Entry::Occupied(o) if *o.get() >= start => continue,
+                Entry::Occupied(mut o) => {
+                    let last = &mut entries[*o.get() as usize];
+                    last.next = member;
+                    *o.get_mut() = entry;
+                    let depth = last.depth + 1;
+                    each(o.key(), depth);
+                    depth
+                }
+            };
+            entries.push(PlanEntry { next: NO_NEXT, depth });
+        }
+        self.plan.ends.push(entries.len() as u32);
+    }
+
+    /// Returns the plan pushed so far and leaves the builder empty.
+    pub fn finish(&mut self) -> Plan {
+        self.last.clear();
+        let (entries, members) = (self.plan.entries.len(), self.plan.ends.len());
+        let fresh =
+            Plan { entries: Vec::with_capacity(entries), ends: Vec::with_capacity(members) };
+        std::mem::replace(&mut self.plan, fresh)
+    }
+}
+
+/// Builds the plan of `keys`, one key-set per member in member order.
+pub fn plan(keys: impl IntoIterator<Item = Vec<Key>>) -> Plan {
+    let mut builder = PlanBuilder::default();
+    for member in keys {
+        builder.push(member, |_, _| {});
+    }
+    builder.finish()
 }
 
 /// How [`run_tx`] reads and writes.

@@ -10,21 +10,20 @@
 //! the fingerprint (not the physical index), which is how dumps stay
 //! byte-identical across shard counts while still sorting by shard.
 //!
-//! Routing is a pure function of the predicted key-set:
+//! Routing is a pure function of the predicted key-set, and it only picks
+//! the queue a ready transaction surfaces on; it never splits the lock
+//! queues, which [`crate::sched::plan`] builds once for the whole round:
 //!
 //! * every key of the set lands on `fingerprint(key) % N`;
 //! * a transaction whose keys all land on one shard is **single-shard**
-//!   and flows through that shard's lock table and worker pool alone;
-//! * a transaction spanning several shards is **cross-shard** and is
-//!   resolved by the queuer's deterministic exchange at the batch
-//!   barrier (see `engine.rs`): it executes only once it is at the head
-//!   of its queues on *every* owner shard, and its slots are released
-//!   in ascending shard order (shard-major merge order).
+//!   and surfaces on that shard's ready queue of round 1's lock table;
+//! * a transaction spanning several shards is **cross-shard** and
+//!   surfaces on its home (lowest-owner) shard's ready queue. Its one
+//!   predecessor count covers every key it locks, on every owner, so it
+//!   is safe to run the moment it surfaces, whichever thread pops it.
 //!
-//! Because each per-key queue lives on exactly one shard and receives
-//! transactions in the same canonical order regardless of `N`, the
-//! per-key lock queues are identical for every shard count — which is
-//! the heart of the digest-equivalence argument (DESIGN.md §3.5).
+//! The lock queues, and so the grant order, are the same for every shard
+//! count — the heart of the digest-equivalence argument (DESIGN.md §3.5).
 
 use prognosticator_storage::StableHasher;
 use prognosticator_txir::Key;
@@ -114,21 +113,6 @@ impl ShardRouter {
             _ => ShardRoute::Cross(owners),
         }
     }
-
-    /// Partitions a key-set by owner shard, ascending shard order, each
-    /// partition keeping the key-set's original (first-occurrence)
-    /// order — the enqueue order fed to each shard's lock-table builder.
-    pub fn partition(&self, keys: Vec<Key>) -> Vec<(usize, Vec<Key>)> {
-        let mut parts: Vec<(usize, Vec<Key>)> = Vec::new();
-        for key in keys {
-            let s = self.shard_of(&key);
-            match parts.binary_search_by_key(&s, |(shard, _)| *shard) {
-                Ok(at) => parts[at].1.push(key),
-                Err(at) => parts.insert(at, (s, vec![key])),
-            }
-        }
-        parts
-    }
 }
 
 #[cfg(test)]
@@ -156,35 +140,6 @@ mod tests {
         let r = ShardRouter::new(1);
         let keys: Vec<Key> = (0..32).map(|i| k(i % 3, i as i64)).collect();
         assert_eq!(r.route(&keys), ShardRoute::Single(0));
-        let parts = r.partition(keys.clone());
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0], (0, keys));
-    }
-
-    #[test]
-    fn partition_preserves_order_and_covers_all_keys() {
-        let r = ShardRouter::new(4);
-        let keys: Vec<Key> = (0..64).map(|i| k(0, i)).collect();
-        let parts = r.partition(keys.clone());
-        // Ascending shard ids, no duplicates.
-        let ids: Vec<usize> = parts.iter().map(|(s, _)| *s).collect();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(ids, sorted);
-        // Every key lands in its owner's partition, in original order.
-        let total: usize = parts.iter().map(|(_, ks)| ks.len()).sum();
-        assert_eq!(total, keys.len());
-        for (s, ks) in &parts {
-            for key in ks {
-                assert_eq!(r.shard_of(key), *s);
-            }
-            let positions: Vec<usize> = ks
-                .iter()
-                .map(|key| keys.iter().position(|x| x == key).unwrap())
-                .collect();
-            assert!(positions.windows(2).all(|w| w[0] < w[1]), "order preserved");
-        }
     }
 
     #[test]

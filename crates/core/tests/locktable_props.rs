@@ -1,9 +1,11 @@
-//! Property tests of the lock table: liveness (every enqueued transaction
-//! eventually becomes ready) and per-key order preservation — the two
-//! invariants deterministic scheduling rests on — plus a reference model
-//! the table must agree with after every single release.
+//! Property tests of the conflict plan and the lock table frozen from it:
+//! liveness (every enqueued transaction eventually becomes ready) and
+//! per-key order preservation — the two invariants deterministic
+//! scheduling rests on — plus a reference model the plan and the table
+//! must agree with after every single release.
 
-use prognosticator_core::{LockTableBuilder, TxIdx};
+use prognosticator_core::sched::{self, NO_NEXT};
+use prognosticator_core::{LockTable, TxIdx};
 use prognosticator_txir::{Key, TableId};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -15,15 +17,12 @@ fn keysets_strategy() -> impl Strategy<Value = Vec<Vec<i64>>> {
     )
 }
 
-fn build(keysets: &[Vec<i64>]) -> prognosticator_core::LockTable {
-    let mut b = LockTableBuilder::new();
-    for (i, ks) in keysets.iter().enumerate() {
-        b.enqueue(
-            i as TxIdx,
-            ks.iter().map(|&k| Key::of_ints(TableId(0), &[k])).collect(),
-        );
-    }
-    b.freeze(keysets.len())
+fn keys(ks: &[i64]) -> Vec<Key> {
+    ks.iter().map(|&k| Key::of_ints(TableId(0), &[k])).collect()
+}
+
+fn build(keysets: &[Vec<i64>]) -> LockTable {
+    LockTable::new(sched::plan(keysets.iter().map(|ks| keys(ks))), 1, Vec::new())
 }
 
 proptest! {
@@ -36,7 +35,7 @@ proptest! {
     fn drains_completely_in_per_key_order(keysets in keysets_strategy()) {
         let table = build(&keysets);
         let mut commit_order = Vec::new();
-        while let Some(tx) = table.pop_ready() {
+        while let Some(tx) = table.pop_ready(0) {
             commit_order.push(tx);
             table.release(tx);
         }
@@ -71,7 +70,7 @@ proptest! {
             // Drain the entire current ready set before releasing any of
             // it — these would run concurrently in the engine.
             let mut wave = Vec::new();
-            while let Some(tx) = table.pop_ready() {
+            while let Some(tx) = table.pop_ready(0) {
                 wave.push(tx);
             }
             if wave.is_empty() {
@@ -93,8 +92,9 @@ proptest! {
     }
 }
 
-/// Key-sets that may repeat a key, each flagged local or foreign
-/// (`enqueue_foreign`).
+/// Key-sets that may repeat a key, each flagged local or foreign (routed
+/// to another shard's ready queue, as a member whose home is another shard
+/// is).
 fn mixed_batch_strategy() -> impl Strategy<Value = Vec<(Vec<i64>, bool)>> {
     prop::collection::vec((prop::collection::vec(0..12i64, 0..6), any::<bool>()), 1..40)
 }
@@ -155,36 +155,46 @@ impl Model {
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    /// The table agrees with the per-key FIFO model after every single
-    /// release, one randomly chosen ready transaction at a time: what
-    /// `pop_ready` and `pop_foreign_ready` have surfaced (and is not yet
-    /// released) is exactly the model's local and foreign transactions
-    /// that head all their queues, and every transaction is released.
-    /// `picks` chooses which ready transaction to release next.
+    /// The plan and the table agree with the per-key FIFO model. Each
+    /// plan entry holds the member's place in its key's queue and the
+    /// member queued next; each member's predecessor count is the number
+    /// of queues it does not head. Then after every single release, one
+    /// randomly chosen ready transaction at a time, what `pop_ready` has
+    /// surfaced on shards 0 and 1 (and is not yet released) is exactly the
+    /// model's local and foreign transactions that head all their queues,
+    /// and every transaction is released. `picks` chooses which
+    /// ready transaction to release next.
     #[test]
     fn matches_per_key_fifo_model(
         batch in mixed_batch_strategy(),
         picks in prop::collection::vec(any::<u32>(), 40),
     ) {
-        let mut b = LockTableBuilder::new();
-        for (i, (keys, foreign)) in batch.iter().enumerate() {
-            let keys = keys.iter().map(|&k| Key::of_ints(TableId(0), &[k])).collect();
-            if *foreign {
-                b.enqueue_foreign(i as TxIdx, keys);
-            } else {
-                b.enqueue(i as TxIdx, keys);
-            }
-        }
-        let table = b.freeze(batch.len());
+        let plan = sched::plan(batch.iter().map(|(ks, _)| keys(ks)));
         let mut model = Model::new(&batch);
-        prop_assert_eq!(table.contended_keys(), model.contended_keys());
+        prop_assert_eq!(plan.len(), batch.len());
+        for (tx, distinct) in model.keysets.iter().enumerate() {
+            let entries = plan.entries(tx);
+            prop_assert_eq!(entries.len(), distinct.len(), "tx{} entries", tx);
+            for (k, entry) in distinct.iter().zip(entries) {
+                let queue = &model.queues[k];
+                let depth = queue.iter().position(|&t| t == tx as TxIdx).unwrap();
+                let next = queue.get(depth + 1).copied().unwrap_or(NO_NEXT);
+                prop_assert_eq!(entry.depth as usize, depth, "tx{} depth on key {}", tx, k);
+                prop_assert_eq!(entry.next, next, "tx{} successor on key {}", tx, k);
+            }
+            let preds = distinct.iter().filter(|k| model.queues[*k][0] != tx as TxIdx).count();
+            prop_assert_eq!(plan.preds(tx) as usize, preds, "tx{} predecessors", tx);
+        }
+        prop_assert_eq!(plan.contended_keys(), model.contended_keys());
+        let route = batch.iter().map(|&(_, foreign)| u32::from(foreign)).collect();
+        let table = LockTable::new(plan, 2, route);
 
         let (mut local, mut foreign) = (BTreeSet::new(), BTreeSet::new());
         for step in 0..=batch.len() {
-            while let Some(tx) = table.pop_ready() {
+            while let Some(tx) = table.pop_ready(0) {
                 prop_assert!(local.insert(tx), "tx{} surfaced twice", tx);
             }
-            while let Some(tx) = table.pop_foreign_ready() {
+            while let Some(tx) = table.pop_ready(1) {
                 prop_assert!(foreign.insert(tx), "tx{} surfaced twice", tx);
             }
             let (model_local, model_foreign) = model.granted();

@@ -107,9 +107,9 @@ fn tpcc_stream(
 
 #[test]
 fn prepare_ahead_at_four_shards_matches_sequential() {
-    // At four shards nearly every TPC-C transaction is cross-shard, so
-    // the queuer classifies the next batch between exchange steps rather
-    // than while idle at the update barrier.
+    // At four shards nearly every TPC-C transaction is cross-shard; the
+    // queuer classifies the next batch between the members it runs
+    // rather than while idle at the update barrier.
     let config = SchedulerConfig { shards: 4, ..baselines::mq_mf(2) };
     let (seq_outcomes, seq_timings, seq_digest) = tpcc_stream(config.clone(), 0);
     let (outcomes, timings, digest) = tpcc_stream(config, 1);

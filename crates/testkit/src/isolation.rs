@@ -407,9 +407,9 @@ pub enum Mutation {
     /// illegal interleaving.
     DroppedLockRelease,
     /// Let an earlier-batch transaction observe a version installed by
-    /// a later batch — models the cross-shard barrier exchange
-    /// (DESIGN.md §3.5) releasing a shard's foreign writes before the
-    /// batch barrier, so a reader sees the future.
+    /// a later batch — models a shard releasing a cross-shard
+    /// transaction's writes before the batch barrier (DESIGN.md §3.5), so
+    /// a reader sees the future.
     CrossShardBarrierReorder,
 }
 

@@ -77,8 +77,8 @@ fn rubis_agrees_across_shard_counts() {
 
 #[test]
 fn faulted_runs_agree_across_shard_counts() {
-    // The cross-shard exchange and the per-shard pipelines must absorb
-    // injected worker panics identically at every shard count.
+    // Routing members to their shards' ready queues must absorb injected
+    // worker panics identically at every shard count.
     for (workload, seed) in [
         (WorkloadKind::SmallBank, 0xFA_01u64),
         (WorkloadKind::Tpcc, 0xFA_02),
@@ -91,7 +91,7 @@ fn faulted_runs_agree_across_shard_counts() {
 #[test]
 fn adversarial_pack_agrees_across_shard_counts() {
     // Hot-key storms and chain pivots maximize cross-shard traffic and
-    // per-key queue depth — the worst case for the barrier exchange.
+    // per-key queue depth — the worst case for cross-shard routing.
     for (i, workload) in WorkloadKind::ADVERSARIAL.into_iter().enumerate() {
         sweep(workload, 0xAD_10 + i as u64, None);
     }

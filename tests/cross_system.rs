@@ -151,8 +151,8 @@ fn simulator_matches_threaded_engine_under_faults() {
 
 /// The schedule itself under tier-1: at {1, 4} shards, with and without
 /// an active fault plan, the engine must agree batch-for-batch with the
-/// simulator — whose per-key queues and ready-heap share no code with the
-/// engine's linked lock tables or its cross-shard exchange.
+/// simulator — which drains the same conflict plan on a ready-heap, and
+/// shares no code with the engine's routing or its ready queues.
 #[test]
 fn simulator_matches_sharded_engine_with_and_without_faults() {
     let (catalog, workload) = tpcc();

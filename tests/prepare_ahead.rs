@@ -1,7 +1,7 @@
 //! Prepare-ahead depth oracle, tier-1 slice.
 //!
 //! At depth 1 the queuer classifies batch `N+1` inside batch `N`'s update
-//! phases (between exchange steps when the batch spans shards). Because
+//! phases (one step per pass of its drain loop). Because
 //! classification reads no store state, depth 1 must reproduce depth 0
 //! exactly: the same outcome vectors, the same store digest, and the same
 //! canonical flight-recorder dump once the depth-1-only `queuer_handoff`

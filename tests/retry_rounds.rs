@@ -258,8 +258,8 @@ fn retry_rounds_match_across_workers_shards_and_ready_policies() {
     let dump_hash = fnv1a(reference.dump.as_bytes());
     assert_eq!(dump_hash, CHAIN_DUMP_HASH, "chain dump hash {dump_hash:#018x}");
     // At 4 shards some retry round's members span two shards. A lone
-    // drainer neither routes nor runs the exchange, so these legs check
-    // that such a member needs neither.
+    // drainer neither routes nor builds a table, so these legs check that
+    // such a member needs neither.
     let router = ShardRouter::new(4);
     let ctr_shard = router.shard_of(&Key::of_ints(ctr, &[0]));
     let cross_rounds = (1..CHAIN as i64)
