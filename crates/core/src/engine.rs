@@ -33,8 +33,10 @@
 //! member replays its last walk's pivot reads against the round's starting
 //! values and fails without a walk or a run when a pivot the round-start
 //! walk reads has changed since the round began — the verdict re-preparing
-//! it at round start would reach (see [`sched::doomed`]). Any other member
-//! is walked from the round's starting values at its turn.
+//! it at round start would reach (see [`sched::doomed`]). Recording or not,
+//! a doomed member is neither walked nor run: a recorder only sees a
+//! `Doomed` event naming the pivot. Any other member is walked from the
+//! round's starting values at its turn.
 //!
 //! The same engine, differently configured, realizes every system in the
 //! paper's evaluation except `SEQ` (see [`crate::baselines`]).
@@ -224,8 +226,8 @@ pub struct StageTimings {
     /// Update phase (draining the ready queues, or a tableless round's
     /// in-order run) plus failed handling, summed over scheduling rounds.
     /// A round without a table is charged here whole: a retry round's
-    /// replay checks and re-walks, and any round's `LockWait` events, as
-    /// well as its runs.
+    /// replay checks, re-walks and `Doomed` events, and round 1's
+    /// `LockWait` events at `workers = 1`, as well as its runs.
     pub execute_ns: u64,
     /// Epoch advance + store garbage collection.
     pub commit_ns: u64,
@@ -603,22 +605,12 @@ impl EngineMetrics {
     }
 }
 
-/// A stable 64-bit fingerprint of a key for flight-recorder events
-/// (FNV-1a over the key's display form — deterministic across processes).
-fn key_fingerprint(key: &Key) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{key:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Records a committed transaction's [`AccessLog`] as `TxRead`/`TxWrite`
 /// flight events (logical coordinates only: batch, tx, per-tx sequence,
 /// key fingerprint, per-key version). These are the isolation checker's
 /// inputs; they are replay-stable because read order is program order and
-/// the write flush is key-sorted.
+/// the write flush is key-sorted. Every flight event names a key by its
+/// [`ShardRouter::fingerprint`], which no shard count changes.
 fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     let Some(rec) = &work.hooks.recorder else { return };
     if !rec.is_enabled() {
@@ -626,11 +618,11 @@ fn record_access_log(work: &BatchWork, tx: TxIdx, log: &AccessLog) {
     }
     let (batch, tx) = (work.batch_index, u64::from(tx));
     for (seq, (key, version)) in log.reads.iter().enumerate() {
-        let (seq, key, version) = (seq as u64, key_fingerprint(key), *version);
+        let (seq, key, version) = (seq as u64, ShardRouter::fingerprint(key), *version);
         rec.record(|| Event::TxRead { batch, tx, seq, key, version });
     }
     for (seq, (key, version)) in log.writes.iter().enumerate() {
-        let (seq, key, version) = (seq as u64, key_fingerprint(key), *version);
+        let (seq, key, version) = (seq as u64, ShardRouter::fingerprint(key), *version);
         rec.record(|| Event::TxWrite { batch, tx, seq, key, version });
     }
 }
@@ -643,19 +635,11 @@ fn plan_member(work: &BatchWork, planner: &mut PlanBuilder, i: TxIdx, keys: Vec<
     let (batch, tx) = (work.batch_index, u64::from(i));
     planner.push(keys, |key, depth| match rec {
         Some(rec) if depth > 0 => {
-            let (depth, shard, key) =
-                (u64::from(depth), ShardRouter::fingerprint(key), key_fingerprint(key));
-            rec.record(|| Event::LockWait { batch, tx, key, depth, shard });
+            let (depth, key) = (u64::from(depth), ShardRouter::fingerprint(key));
+            rec.record(|| Event::LockWait { batch, tx, key, depth });
         }
         _ => {}
     });
-}
-
-/// In a round without a table, while recording (`planner` is the round's
-/// plan then), queues member `i` next and records its `LockWait` events.
-fn plan_waits(work: &BatchWork, planner: Option<&mut PlanBuilder>, i: TxIdx, state: &TxState) {
-    let Some(planner) = planner else { return };
-    plan_member(work, planner, i, sched::lock_keys(&work.slots[i as usize].tx, state));
 }
 
 /// Classifies a batch one transaction at a time, so the queuer can fill
@@ -932,31 +916,31 @@ impl Engine {
                 let policy = config.ready_policy.as_ref();
                 drain(&work, 0, &self.store, round1, policy, next.as_deref_mut());
                 self.shared.barrier.wait(); // (3) update phase done; the workers leave
-            } else {
-                // A round without a table plans its members only for the
-                // recorder's `LockWait` events.
+            } else if first {
+                // One drainer, no table: member order is a grant order of the
+                // per-key FIFO queues, and each transaction reads only keys it
+                // locks, so it reads what a table would give it. While
+                // recording, the members are planned as a table would plan
+                // them, for their `LockWait` events.
                 let recording = work.hooks.recorder.as_ref().is_some_and(|rec| rec.is_enabled());
                 let mut waits = recording.then(PlanBuilder::default);
-                if first {
-                    // One drainer, no table: member order is a grant order of
-                    // the per-key FIFO queues, and each transaction reads only
-                    // keys it locks, so it reads what a table would give it.
-                    let mut next = next.as_deref_mut();
-                    run_guarded(&work, || {
-                        for &i in &rounds.members {
-                            if let Some(next) = next.as_deref_mut() {
-                                next.step();
-                            }
-                            let state = work.slots[i as usize].state.lock();
-                            plan_waits(&work, waits.as_mut(), i, &state);
-                            drop(state);
-                            work.run_granted(i, &self.store, None, || {});
+                let mut next = next.as_deref_mut();
+                run_guarded(&work, || {
+                    for &i in &rounds.members {
+                        if let Some(next) = next.as_deref_mut() {
+                            next.step();
                         }
-                    });
-                } else {
-                    let (mode, members) = (config.prepare, &rounds.members);
-                    run_retry_round(&work, &self.store, mode, members, waits.as_mut());
-                }
+                        if let Some(waits) = waits.as_mut() {
+                            let slot = &work.slots[i as usize];
+                            let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
+                            plan_member(&work, waits, i, keys);
+                        }
+                        work.run_granted(i, &self.store, None, || {});
+                    }
+                });
+            } else {
+                let round = outcome.rounds;
+                run_retry_round(&work, &self.store, config.prepare, &rounds.members, round);
             }
             let done = self.finish_round(&work, &mut rounds, &mut outcome);
             outcome.stage.execute_ns += elapsed_ns(update_start);
@@ -1036,6 +1020,8 @@ impl Engine {
     /// Phase 2 of a pooled round 1: plans every member by its predicted
     /// key-set in member order, routes it to its home shard when there are
     /// several shards, freezes the lock table and publishes it to the pool.
+    /// If planning panics, the batch is fatal and an empty table is
+    /// published, so every thread still reaches its barriers.
     fn build_table<'w>(
         &self,
         work: &'w BatchWork,
@@ -1045,18 +1031,22 @@ impl Engine {
     ) -> &'w Round1 {
         let members = std::mem::take(&mut rounds.members);
         let shards = self.router.shards();
-        let (mut route, mut cross) = (Vec::new(), 0);
-        for &i in &members {
-            let slot = &work.slots[i as usize];
-            let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
-            if shards > 1 {
-                let owners = self.router.route(&keys);
-                cross += usize::from(owners.is_cross());
-                route.push(owners.home() as u32);
+        let (mut plan, mut route, mut cross) = (sched::Plan::default(), Vec::new(), 0);
+        run_guarded(work, || {
+            for &i in &members {
+                let slot = &work.slots[i as usize];
+                let keys = sched::lock_keys(&slot.tx, &slot.state.lock());
+                if shards > 1 {
+                    let owners = self.router.route(&keys);
+                    cross += usize::from(owners.is_cross());
+                    route.push(owners.home() as u32);
+                }
+                plan_member(work, planner, i, keys);
             }
-            plan_member(work, planner, i, keys);
-        }
-        let plan = planner.finish();
+            plan = planner.finish();
+        });
+        // After a panic the plan is empty, and so is its route.
+        route.truncate(plan.len());
         outcome.stage.cross_shard_txs += cross as u64;
         outcome.stage.single_shard_txs += (members.len() - cross) as u64;
         outcome.stage.lock_contended_keys += plan.contended_keys();
@@ -1237,16 +1227,16 @@ fn prepare_phase(
 /// fails without a walk or a run. Otherwise it is walked from the round's
 /// starting values and runs. No member of a retry round had an injected
 /// fault (that fires at its first locked run, in round 1), so none would
-/// have aborted instead. Only a recorder needs a doomed member's
-/// round-start key-set, for its `LockWait` events, so only while recording
-/// (`waits` is the round's plan then) is it walked and run as before.
-/// Other members were prepared at round start by [`prepare_phase`].
+/// have aborted instead. A doomed member records a `Doomed` event naming
+/// the changed pivot, its only trace in the round. Other members were
+/// prepared at round start by [`prepare_phase`]. Nothing waits in a retry
+/// round, so it records no `LockWait` events.
 fn run_retry_round(
     work: &BatchWork,
     store: &EpochStore,
     mode: PrepareMode,
     members: &[TxIdx],
-    mut waits: Option<&mut PlanBuilder>,
+    round: u32,
 ) {
     // The round-start value of every key that a member run so far locked.
     // Writes stay inside the writer's key-set, so every other key still
@@ -1259,7 +1249,12 @@ fn run_retry_round(
             debug_assert!(slot.tx.table_scope.is_none(), "table-scoped members never fail");
             if let Some(profile) = sched::walked_profile(&slot.tx, mode) {
                 let last = state.prediction.as_ref().expect("a failed member keeps its prediction");
-                if waits.is_none() && sched::doomed(last, &start, store) {
+                if let Some(key) = sched::doomed(last, &start, store) {
+                    if let Some(rec) = &work.hooks.recorder {
+                        let (batch, tx, round) = (work.batch_index, u64::from(i), u64::from(round));
+                        let key = ShardRouter::fingerprint(key);
+                        rec.record(|| Event::Doomed { batch, tx, round, key });
+                    }
                     work.failed.lock().push(i);
                     continue;
                 }
@@ -1275,7 +1270,6 @@ fn run_retry_round(
                     start.insert(key.clone(), store.get_latest(key).unwrap_or(Value::Unit));
                 }
             }
-            plan_waits(work, waits.as_deref_mut(), i, &state);
             drop(state);
             work.run_granted(i, store, None, || {});
         }

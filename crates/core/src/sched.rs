@@ -15,8 +15,8 @@
 //! * [`plan`] — who waits for whom: a round's per-key FIFO queues as
 //!   successor links with depths, which the engine's lock table, the
 //!   simulator and the recorder's `LockWait` events all read;
-//! * [`doomed`] — whether a retry-round member's last pivot reads doom
-//!   it before it is walked;
+//! * [`doomed`] — the pivot, if any, at which a retry-round member's last
+//!   pivot reads doom it before it is walked;
 //! * [`run_tx`] — run one transaction: fault replay/injection, panic
 //!   containment, and the commit / deterministic-abort / retry verdict;
 //! * [`after_round`] — the failed-transaction policy (`SF`/`MF`/Calvin);
@@ -205,9 +205,9 @@ pub fn round_start_value(start: &HashMap<Key, Value>, store: &EpochStore, key: &
     }
 }
 
-/// Whether preparing a retry-round member at round start would doom it,
-/// decided without walking. `last` is the member's last profile walk and
-/// `start` as in [`round_start_value`].
+/// The pivot at which preparing a retry-round member at round start would
+/// doom it, decided without walking; `None` when it would not. `last` is
+/// the member's last profile walk and `start` as in [`round_start_value`].
 ///
 /// A walk reads pivots in order, each pivot's key a function of the inputs
 /// and the values read before it, and `last.pivot_observations` lists its
@@ -215,21 +215,25 @@ pub fn round_start_value(start: &HashMap<Key, Value>, store: &EpochStore, key: &
 /// observations, the round-start walk reads the same keys. At the first
 /// observed key whose round-start value differs from its current value,
 /// that walk has recorded the round-start value, and validation now fails:
-/// doomed. At the first whose round-start value differs from the observed
-/// one, the walks part and nothing further is known: not doomed, and the
-/// member is walked.
-pub fn doomed(last: &Prediction, start: &HashMap<Key, Value>, store: &EpochStore) -> bool {
+/// doomed at that key. At the first whose round-start value differs from
+/// the observed one, the walks part and nothing further is known: not
+/// doomed, and the member is walked.
+pub fn doomed<'a>(
+    last: &'a Prediction,
+    start: &HashMap<Key, Value>,
+    store: &EpochStore,
+) -> Option<&'a Key> {
     for (key, observed) in &last.pivot_observations {
         let current = store.get_latest(key).unwrap_or(Value::Unit);
         let at_start = start.get(key).unwrap_or(&current);
         if *at_start != current {
-            return true;
+            return Some(key);
         }
         if at_start != observed {
-            return false;
+            return None;
         }
     }
-    false
+    None
 }
 
 /// The keys a prepared transaction enqueues on in the lock table.
@@ -303,6 +307,28 @@ impl Plan {
     pub fn contended_keys(&self) -> u64 {
         self.entries.iter().filter(|e| e.depth == 1).count() as u64
     }
+
+    /// Checks that releasing members as they become ready releases them
+    /// all: every successor link points to a later member, and every
+    /// member's predecessor count equals the number of links naming it.
+    /// A slip in the plan then fails here instead of stalling a drain.
+    ///
+    /// # Panics
+    /// Panics naming the first member that breaks either rule.
+    fn check_drains(&self) {
+        let mut links = vec![0u32; self.len()];
+        for m in 0..self.len() {
+            for e in self.entries(m).iter().filter(|e| e.next != NO_NEXT) {
+                let next = e.next as usize;
+                assert!(m < next && next < self.len(), "member {m} links to member {next}");
+                links[next] += 1;
+            }
+        }
+        for (m, &links) in links.iter().enumerate() {
+            let preds = self.preds(m);
+            assert_eq!(preds, links, "member {m} waits on {preds} queues but {links} link to it");
+        }
+    }
 }
 
 /// Builds [`Plan`]s: [`push`](PlanBuilder::push) the members in member
@@ -349,12 +375,20 @@ impl PlanBuilder {
     }
 
     /// Returns the plan pushed so far and leaves the builder empty.
+    ///
+    /// # Panics
+    /// In debug builds, panics if releasing members as they become ready
+    /// would not release them all.
     pub fn finish(&mut self) -> Plan {
         self.last.clear();
         let (entries, members) = (self.plan.entries.len(), self.plan.ends.len());
         let fresh =
             Plan { entries: Vec::with_capacity(entries), ends: Vec::with_capacity(members) };
-        std::mem::replace(&mut self.plan, fresh)
+        let plan = std::mem::replace(&mut self.plan, fresh);
+        if cfg!(debug_assertions) {
+            plan.check_drains();
+        }
+        plan
     }
 }
 
@@ -570,29 +604,29 @@ mod tests {
         let (store, start) = round(&[(1, 6), (2, 0)], &[(1, 5)]);
         assert_eq!(round_start_value(&start, &store, &k(1)), Value::Int(5));
         assert_eq!(round_start_value(&start, &store, &k(2)), Value::Int(0));
-        assert!(doomed(&observed(&[(1, 5), (2, 0)]), &start, &store));
-        assert!(doomed(&observed(&[(1, 4)]), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5), (2, 0)]), &start, &store), Some(&k(1)));
+        assert_eq!(doomed(&observed(&[(1, 4)]), &start, &store), Some(&k(1)));
         // Only the second pivot changed this round.
         let (store, start) = round(&[(1, 5), (2, 7)], &[(1, 5), (2, 3)]);
-        assert!(doomed(&observed(&[(1, 5), (2, 3)]), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5), (2, 3)]), &start, &store), Some(&k(2)));
     }
 
     #[test]
     fn not_doomed_where_the_round_start_walk_parts_or_nothing_changed() {
         // Key 1 changed before the round began and not since.
         let (store, start) = round(&[(1, 6), (2, 9)], &[]);
-        assert!(!doomed(&observed(&[(1, 5), (2, 9)]), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5), (2, 9)]), &start, &store), None);
         // Past that point the round-start walk may read other keys, so a
         // later pivot changed this round decides nothing.
         let (store, start) = round(&[(1, 6), (2, 9)], &[(2, 8)]);
-        assert!(!doomed(&observed(&[(1, 5), (2, 8)]), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5), (2, 8)]), &start, &store), None);
         // Key 1 was written this round and written back (ABA); key 2 was
         // overwritten with the value it held.
         let (store, start) = round(&[(1, 5), (2, 9)], &[(1, 5), (2, 9)]);
-        assert!(!doomed(&observed(&[(1, 5), (2, 9)]), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5), (2, 9)]), &start, &store), None);
         let (store, start) = round(&[(1, 5)], &[]);
-        assert!(!doomed(&observed(&[(1, 5)]), &start, &store));
-        assert!(!doomed(&Prediction::default(), &start, &store));
+        assert_eq!(doomed(&observed(&[(1, 5)]), &start, &store), None);
+        assert_eq!(doomed(&Prediction::default(), &start, &store), None);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use prognosticator_txir::Key;
 
 /// Salt folded into every routing fingerprint so shard placement is not
 /// correlated with any other key hash in the system (e.g. the store's
-/// internal hash shards or the flight recorder's key fingerprints).
+/// internal hash shards).
 const ROUTE_SALT: u64 = 0x51AD_0C0D_E5A1_7ED5;
 
 /// Where a transaction's predicted key-set routed it.
@@ -85,7 +85,7 @@ impl ShardRouter {
 
     /// The count-independent routing fingerprint of a key: a salted
     /// stable hash, identical on every replica and for every shard
-    /// count. This is the `shard` coordinate recorded in flight events.
+    /// count. Every flight event names its key by this fingerprint.
     pub fn fingerprint(key: &Key) -> u64 {
         let mut h = StableHasher::new();
         h.write_u64(ROUTE_SALT);

@@ -60,15 +60,10 @@ pub enum Event {
         batch: u64,
         /// Slot index within the batch.
         tx: u64,
-        /// Contended key.
+        /// Contended key's fingerprint.
         key: u64,
         /// Queue position (1 = directly behind the holder).
         depth: u64,
-        /// The key's shard-routing fingerprint. Count-independent (the
-        /// physical shard is `shard % N`), so dumps stay byte-identical
-        /// across shard counts while the canonical sort still groups
-        /// waits by shard.
-        shard: u64,
     },
     /// A transaction became runnable (all of its key queues reached it).
     LockGrant {
@@ -113,6 +108,18 @@ pub enum Event {
         batch: u64,
         /// Slot index within the batch.
         tx: u64,
+    },
+    /// A retry-round member failed without being walked or run: a pivot
+    /// its last walk read changed after the round began.
+    Doomed {
+        /// Batch sequence number.
+        batch: u64,
+        /// Slot index within the batch.
+        tx: u64,
+        /// The retry round (2 = the first retry).
+        round: u64,
+        /// The changed pivot's key fingerprint.
+        key: u64,
     },
     /// A prepare-ahead stream is about to execute a classified batch (one
     /// per executed batch at depth ≥ 1, the first included).
@@ -172,6 +179,7 @@ impl Event {
             Event::TxRead { .. } => "tx_read",
             Event::TxWrite { .. } => "tx_write",
             Event::LockRelease { .. } => "lock_release",
+            Event::Doomed { .. } => "doomed",
             Event::QueuerHandoff { .. } => "queuer_handoff",
             Event::WalFsync { .. } => "wal_fsync",
             Event::FaultInjected { .. } => "fault_injected",
@@ -190,25 +198,26 @@ impl Event {
             Event::TxRead { .. } => 4,
             Event::TxWrite { .. } => 5,
             Event::LockRelease { .. } => 6,
-            Event::TxOutcome { .. } => 7,
-            Event::FaultInjected { .. } => 8,
-            Event::BatchEnd { .. } => 9,
-            Event::WalFsync { .. } => 10,
-            Event::RecoveryReplay { .. } => 11,
-            Event::DigestMismatch { .. } => 12,
-            Event::OracleFailure { .. } => 13,
+            Event::Doomed { .. } => 7,
+            Event::TxOutcome { .. } => 8,
+            Event::FaultInjected { .. } => 9,
+            Event::BatchEnd { .. } => 10,
+            Event::WalFsync { .. } => 11,
+            Event::RecoveryReplay { .. } => 12,
+            Event::DigestMismatch { .. } => 13,
+            Event::OracleFailure { .. } => 14,
         }
     }
 
     /// Canonical ordering key: batch-major, then event kind in lifecycle
-    /// order, then slot, then key, then shard — except access events
+    /// order, then slot, then key — except access events
     /// (`TxRead`/`TxWrite`), which tie-break by their per-transaction
-    /// sequence so one transaction's accesses keep program/flush order.
-    /// Independent of arrival interleaving; the shard coordinate is the
-    /// count-independent routing fingerprint, so the order (and hence the
-    /// rendered dump) is also independent of the shard count.
+    /// sequence so one transaction's accesses keep program/flush order,
+    /// and `Doomed`, by round first. Independent of arrival interleaving;
+    /// key fingerprints do not depend on the shard count, so the order
+    /// (and hence the rendered dump) does not either.
     fn sort_key(&self) -> (u64, u8, u64, u64, u64) {
-        let (batch, tx, key, shard) = match *self {
+        let (batch, tx, a, b) = match *self {
             Event::BatchStart { batch, .. }
             | Event::BatchEnd { batch, .. }
             | Event::QueuerHandoff { batch, .. }
@@ -218,7 +227,8 @@ impl Event {
             | Event::LockGrant { batch, tx }
             | Event::LockRelease { batch, tx }
             | Event::FaultInjected { batch, tx, .. } => (batch, tx, 0, 0),
-            Event::LockWait { batch, tx, key, shard, .. } => (batch, tx, key, shard),
+            Event::LockWait { batch, tx, key, .. } => (batch, tx, key, 0),
+            Event::Doomed { batch, tx, round, key } => (batch, tx, round, key),
             // Tie-break by (batch, tx, seq), NOT by key fingerprint: two
             // runs record the same accesses in the same per-tx order, so
             // seq is interleaving-independent while being cheaper and
@@ -229,7 +239,7 @@ impl Event {
             Event::WalFsync { index } => (index, 0, 0, 0),
             Event::OracleFailure { .. } => (u64::MAX, 0, 0, 0),
         };
-        (batch, self.kind_rank(), tx, key, shard)
+        (batch, self.kind_rank(), tx, a, b)
     }
 
     /// One JSONL line (no trailing newline).
@@ -261,18 +271,17 @@ impl Event {
                 fields.push(format!("\"tx\":{tx}"));
                 fields.push(format!("\"committed\":{committed}"));
             }
-            Event::LockWait {
-                batch,
-                tx,
-                key,
-                depth,
-                shard,
-            } => {
+            Event::LockWait { batch, tx, key, depth } => {
                 fields.push(format!("\"batch\":{batch}"));
                 fields.push(format!("\"tx\":{tx}"));
                 fields.push(format!("\"key\":{key}"));
                 fields.push(format!("\"depth\":{depth}"));
-                fields.push(format!("\"shard\":{shard}"));
+            }
+            Event::Doomed { batch, tx, round, key } => {
+                fields.push(format!("\"batch\":{batch}"));
+                fields.push(format!("\"tx\":{tx}"));
+                fields.push(format!("\"round\":{round}"));
+                fields.push(format!("\"key\":{key}"));
             }
             Event::LockGrant { batch, tx } | Event::LockRelease { batch, tx } => {
                 fields.push(format!("\"batch\":{batch}"));

@@ -267,7 +267,7 @@ fn canonical_dumps_identical_across_worker_counts() {
 }
 
 /// Satellite: canonical dumps are byte-identical across shard counts
-/// {1, 2, 4, 8}. The `LockWait` events' `shard` field is the
+/// {1, 2, 4, 8}. The `LockWait` events' `key` field is the key's
 /// count-independent routing fingerprint, and the canonical sort
 /// incorporates it — so partitioning the engine must not change a single
 /// dumped byte (DESIGN.md §3.5).
@@ -291,9 +291,10 @@ fn canonical_dumps_identical_across_shard_counts() {
         reference_dump.contains("\"type\":\"lock_wait\""),
         "a contended trace must carry lock waits"
     );
+    let is_keyed_wait = |l: &str| l.contains("\"type\":\"lock_wait\"") && l.contains("\"key\":");
     assert!(
-        reference_dump.contains("\"shard\":"),
-        "lock waits must carry the routing fingerprint"
+        reference_dump.lines().any(is_keyed_wait),
+        "lock waits must carry the key's routing fingerprint"
     );
 
     for shards in [2, 4, 8] {

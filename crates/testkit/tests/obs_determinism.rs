@@ -94,6 +94,47 @@ fn differential_oracle_passes_identically_with_obs_enabled() {
     assert_eq!(cold.systems, hot.systems);
 }
 
+/// Recording takes the production path: with the recorder on and off, a
+/// TPC-C and a RUBiS stream run the same rounds and the same number of
+/// preparation walks (a doomed retry-round member is walked in neither),
+/// and reach the same outcomes and digest.
+#[test]
+fn recording_walks_and_runs_what_production_does() {
+    let _guard = lock();
+    let _restore = DisableOnDrop;
+    prognosticator_obs::set_default_enabled(false);
+    for kind in [WorkloadKind::Tpcc, WorkloadKind::Rubis] {
+        let workload = TestWorkload::new(kind);
+        let stream = workload.gen_stream(0x0B5E, 3, 32);
+        let run = |recording: bool| {
+            let recorder = FlightRecorder::new(3);
+            recorder.set_enabled(recording);
+            let mut replica = Replica::with_store(
+                baselines::mq_mf(2),
+                Arc::clone(workload.catalog()),
+                workload.fresh_store(),
+            );
+            replica.attach_recorder(Arc::clone(&recorder));
+            let outcomes = replica.execute_stream(stream.clone(), 0);
+            let digest = replica.state_digest();
+            replica.shutdown();
+            let rounds: Vec<u32> = outcomes.iter().map(|o| o.rounds).collect();
+            let walks: u64 = outcomes.iter().map(|o| o.prepare_count).sum();
+            let outcomes: Vec<_> = outcomes.into_iter().map(|o| o.outcomes).collect();
+            (outcomes, rounds, walks, digest, recorder.render_jsonl())
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on.0, off.0, "{kind:?}: outcome vectors must not depend on recording");
+        assert_eq!(on.1, off.1, "{kind:?}: rounds must not depend on recording");
+        assert_eq!(on.2, off.2, "{kind:?}: walks must not depend on recording");
+        assert_eq!(on.3, off.3, "{kind:?}: store digest must not depend on recording");
+        assert!(off.4.is_empty(), "{kind:?}: a disabled recorder records nothing");
+        if kind == WorkloadKind::Rubis {
+            assert!(on.4.contains("\"type\":\"doomed\""), "rubis: no retry round doomed a member");
+        }
+    }
+}
+
 /// Two runs of the same stream on fresh replicas, with recorders pinned
 /// to the same replica id, must render byte-identical canonical dumps:
 /// every event is keyed by logical coordinates only, and the canonical
@@ -135,9 +176,9 @@ fn flight_recorder_dumps_are_replay_stable() {
 
 /// Sharding must be invisible in the forensic trail too: the same stream
 /// executed at shard counts {1, 2, 4, 8} (recorders pinned to one replica
-/// id) renders byte-identical canonical dumps. `LockWait` events carry
-/// the count-independent routing fingerprint in their `shard` field — not
-/// the physical shard index — and the canonical sort includes it, so the
+/// id) renders byte-identical canonical dumps. `LockWait` events name
+/// their key by its count-independent routing fingerprint — not the
+/// physical shard index — and the canonical sort includes it, so the
 /// partitioning never leaks into the dump (DESIGN.md §3.5).
 #[test]
 fn flight_recorder_dumps_are_identical_across_shard_counts() {
@@ -167,9 +208,10 @@ fn flight_recorder_dumps_are_identical_across_shard_counts() {
         reference.contains("\"type\":\"lock_wait\""),
         "a hot-key storm must record lock waits"
     );
+    let is_keyed_wait = |l: &str| l.contains("\"type\":\"lock_wait\"") && l.contains("\"key\":");
     assert!(
-        reference.contains("\"shard\":"),
-        "lock waits must carry the routing fingerprint"
+        reference.lines().any(is_keyed_wait),
+        "lock waits must carry the key's routing fingerprint"
     );
     for shards in [2, 4, 8] {
         let (dump, digest) = run(shards);

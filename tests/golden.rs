@@ -204,7 +204,7 @@ const GOLDEN: [(&str, u64, u64, u64); 4] = [
     ("smallbank", 0xa2e4a6395c2e12e3, 17778400, 0x60593a9a001fcd15),
     ("chain_pivot", 0xa2ee15b661800a25, 19246800, 0xded848bd6ae632a6),
 ];
-const GOLDEN_FLIGHTREC: u64 = 0x1bfdb95e93210a73;
+const GOLDEN_FLIGHTREC: u64 = 0xe7a228de41427f07;
 
 #[test]
 fn outcomes_digests_virtual_time_and_dumps_match_the_recorded_constants() {

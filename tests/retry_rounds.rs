@@ -7,16 +7,17 @@
 //! digest and canonical flight dump. Three streams: a one-counter pivot
 //! chain, where each round commits one transaction, the same chain with
 //! copies that write their own input, and RUBiS. Two constants pin what
-//! the topology legs cannot tell apart: the chain's canonical dump, retry
-//! rounds' `lock_wait` events included, and the tagged chain's digest,
-//! which records the copy each round commits first.
+//! the topology legs cannot tell apart: the chain's canonical dump, with
+//! round 1's `lock_wait` events and the retry rounds' `doomed` events, and
+//! the tagged chain's digest, which records the copy each round commits
+//! first.
 //!
 //! A fourth stream checks a retry round's replay of each member's last
 //! pivot reads against the round's starting values, which dooms a member
 //! without walking it: its retry rounds doom members and re-walk others,
 //! and must agree with the simulator, which re-prepares every member at
-//! round start. With the recorder off, doomed members are not walked, so
-//! that run counts fewer walks than the recording one.
+//! round start. A doomed member is never walked, recorder or not, so runs
+//! with the recorder on and off count the same pinned number of walks.
 
 use prognosticator::core::{
     baselines, Catalog, FifoPolicy, ReadyPolicy, Replica, SchedulerConfig, SeededShufflePolicy,
@@ -39,11 +40,13 @@ struct Workload {
 }
 
 /// Canonical dump of the one-counter chain stream (FNV-1a of the JSONL).
-const CHAIN_DUMP_HASH: u64 = 0xdea5ff69543613e5;
+const CHAIN_DUMP_HASH: u64 = 0xc5a56b9c1b09e5f6;
 /// Final store digest of the tagged chain stream.
 const TAGGED_CHAIN_DIGEST: u64 = 0x958fc849c782628c;
 /// Final store digest of the pivot-replay stream.
 const REPLAY_DIGEST: u64 = 0xe81388239cdb409e;
+/// Walks (`prepare_count`) over the pivot-replay stream.
+const REPLAY_WALKS: u64 = 47;
 
 /// `v = get(ctr[0]); put(item[v], x); put(ctr[0], v + 1)`, `CHAIN`
 /// copies per batch: round `k` commits the copy that reads `v = k - 1`
@@ -247,14 +250,22 @@ fn retry_rounds_match_across_workers_shards_and_ready_policies() {
     let reference = assert_topology_independent(&chain);
     assert!(reference.outcomes.iter().flatten().all(|o| *o == TxOutcome::Committed));
     assert!(reference.rounds.iter().all(|&r| r >= 10), "chain rounds: {:?}", reference.rounds);
-    // Round `k` queues its `CHAIN - k + 1` members on two keys, so a batch
-    // records `2 (CHAIN - 1)` waits in round 1 and `CHAIN (CHAIN - 1)` over
-    // all its rounds: the retry rounds' waits are in the dump.
-    let is_wait = |line: &&str| line.contains("\"type\":\"lock_wait\"");
-    let waits = reference.dump.lines().filter(is_wait).count();
+    // Round 1 queues its `CHAIN` members on two keys, so a batch records
+    // `2 (CHAIN - 1)` waits; a retry round waits on nothing and records
+    // none. Retry round `k` commits its first member and dooms the other
+    // `CHAIN - k`, which read the counter the first one advanced, so a
+    // batch records `(CHAIN - 1) (CHAIN - 2) / 2` `doomed` events: every
+    // retry-round failure.
+    let count = |kind: &str| {
+        let kind = format!("\"type\":\"{kind}\"");
+        reference.dump.lines().filter(|line| line.contains(&kind)).count()
+    };
     let batches = reference.rounds.len();
     assert!(reference.rounds.iter().all(|&r| r as usize == CHAIN), "{:?}", reference.rounds);
-    assert_eq!(waits, batches * CHAIN * (CHAIN - 1), "lock_wait events over every round");
+    assert_eq!(count("lock_wait"), batches * 2 * (CHAIN - 1), "lock_wait events: round 1's");
+    let retry_failures: usize = reference.aborts.iter().map(|&a| a - (CHAIN - 1)).sum();
+    assert_eq!(retry_failures, batches * (CHAIN - 1) * (CHAIN - 2) / 2, "retry-round failures");
+    assert_eq!(count("doomed"), retry_failures, "doomed events: every retry-round failure");
     let dump_hash = fnv1a(reference.dump.as_bytes());
     assert_eq!(dump_hash, CHAIN_DUMP_HASH, "chain dump hash {dump_hash:#018x}");
     // At 4 shards some retry round's members span two shards. A lone
@@ -286,8 +297,8 @@ fn tagged_chain_digest_pins_the_copy_each_round_commits() {
 
 /// Every retry round of the replay stream ends as the simulator's does,
 /// which re-prepares every member against the round's starting state. The
-/// legs run with the recorder on and off, since a doomed member is walked
-/// only while recording; so the run without it counts fewer walks.
+/// legs run with the recorder on and off: a doomed member is walked in
+/// neither, so both count the same pinned number of walks.
 #[test]
 fn retry_round_replays_agree_with_round_start_preparation() {
     let w = replay();
@@ -301,7 +312,6 @@ fn retry_round_replays_agree_with_round_start_preparation() {
     assert_eq!(sim_rounds[0], 3, "the first batch's rounds as designed");
     let reference = run(&w, 1, 1, Arc::new(FifoPolicy));
     for workers in [1, 2, 4] {
-        let mut walks = Vec::new();
         for recording in [true, false] {
             let leg = format!("replay: {workers} workers, recording {recording}");
             let got = run_recording(&w, workers, 1, Arc::new(FifoPolicy), recording);
@@ -314,10 +324,8 @@ fn retry_round_replays_agree_with_round_start_preparation() {
             if recording {
                 assert!(got.dump == reference.dump, "{leg}: canonical dumps diverged");
             }
-            walks.push(got.walks);
+            assert_eq!(got.walks, REPLAY_WALKS, "{leg}: walks");
         }
-        let (on, off) = (walks[0], walks[1]);
-        assert!(off < on, "replay: {workers} workers: {off} walks unrecorded, {on} recorded");
     }
     assert!(reference.outcomes.iter().flatten().all(|o| *o == TxOutcome::Committed));
     let digest = reference.digest;
